@@ -26,14 +26,6 @@ ordered miss-heavy first, timing ``REPRO_BATCH_MISS=0`` vs ``=1`` with
 the columnar interpreter pinned on for both sides — the batched
 miss-chain matrix in ``BENCH_misschain.json``.
 
-A fifth group (``make_multicore_rows``) is the eight-core fig10 grid:
-every Table V mix under picl plus two scheme variants of W2, timed
-under ``REPRO_VECTOR=0`` vs ``=1`` strictly interleaved — the
-horizon-batched multi-core matrix in ``BENCH_multicore.json``. Its
-``overall`` adds a per-row geometric-mean speedup alongside the
-throughput ratio, because the mixes span very different reference
-counts and the geomean is what the regression gate watches.
-
 The protocol is best-of-N passes per row (noise on shared hardware is
 strictly additive, so the fastest pass is the stable statistic), fixed
 seeds, and rates in refs/sec. ``overall`` aggregates every row: summed
@@ -41,7 +33,6 @@ references over summed best-pass times.
 """
 
 import json
-import math
 import os
 import time
 
@@ -60,10 +51,6 @@ COLUMNAR_PROTOCOL = "columnar-v1"
 #: Schema tag for BENCH_misschain.json (REPRO_BATCH_MISS=0 vs =1, both
 #: under the columnar interpreter).
 MISSCHAIN_PROTOCOL = "misschain-v1"
-
-#: Schema tag for BENCH_multicore.json (REPRO_VECTOR=0 vs =1 on the
-#: eight-core fig10 mixes).
-MULTICORE_PROTOCOL = "multicore-v1"
 
 
 def make_rows():
@@ -322,100 +309,6 @@ def columnar_payload(measurements, overall, note=""):
             "scalar_refs_per_sec": round(overall["scalar_refs_per_sec"]),
             "columnar_refs_per_sec": round(overall["columnar_refs_per_sec"]),
             "speedup": round(overall["speedup"], 3),
-        },
-    }
-
-
-def make_multicore_rows():
-    """The eight-core fig10 matrix rows.
-
-    Every Table V mix runs under picl at the historical scale 128 so the
-    matrix spans the full range of sharing behaviour (W0 is the most
-    hit-dominated mix, W5 the most miss-heavy), then W2 repeats under
-    journaling and thynvm so the grid also covers schemes whose epoch
-    hooks do real work at the boundary. All rows are mixes; n follows
-    the two-epoch convention of the historical W2 row.
-    """
-    cfg8 = SystemConfig().scaled(128, n_cores=8)
-    n8 = cfg8.epoch_instructions * 2
-    rows = [
-        ("picl/%s" % mix, "picl", mix, cfg8, n8, True, False)
-        for mix in ("W0", "W1", "W2", "W3", "W4", "W5", "W6", "W7")
-    ]
-    rows.append(("journaling/W2", "journaling", "W2", cfg8, n8, True, False))
-    rows.append(("thynvm/W2", "thynvm", "W2", cfg8, n8, True, False))
-    return rows
-
-
-def measure_multicore(passes=2, rows=None):
-    """Measure each eight-core row in both modes, strictly interleaved.
-
-    The same protocol as :func:`measure_columnar` — every pass runs the
-    scalar heap loop then the horizon-batched loop back to back per row,
-    keeping the fastest pass per mode — but ``overall`` also carries
-    ``speedup_geomean``, the geometric mean of the per-row ratios, which
-    is the acceptance statistic for the multi-core interpreter (the
-    summed-time ratio overweights the slowest mixes).
-    """
-    if rows is None:
-        rows = make_multicore_rows()
-    measurements = []
-    totals = {"refs": 0, "scalar": 0.0, "batched": 0.0}
-    for row in rows:
-        refs = None
-        best = {False: None, True: None}
-        for _ in range(passes):
-            for vector in (False, True):
-                row_refs, elapsed = run_row_vector(row, vector)
-                refs = row_refs
-                if best[vector] is None or elapsed < best[vector]:
-                    best[vector] = elapsed
-        measurements.append(
-            {
-                "label": row[0],
-                "refs": refs,
-                "scalar_seconds": best[False],
-                "batched_seconds": best[True],
-                "scalar_refs_per_sec": refs / best[False],
-                "batched_refs_per_sec": refs / best[True],
-                "speedup": best[False] / best[True],
-            }
-        )
-        totals["refs"] += refs
-        totals["scalar"] += best[False]
-        totals["batched"] += best[True]
-    log_sum = sum(math.log(m["speedup"]) for m in measurements)
-    overall = {
-        "scalar_refs_per_sec": totals["refs"] / totals["scalar"],
-        "batched_refs_per_sec": totals["refs"] / totals["batched"],
-        "speedup": totals["scalar"] / totals["batched"],
-        "speedup_geomean": math.exp(log_sum / len(measurements)),
-    }
-    return measurements, overall
-
-
-def multicore_payload(measurements, overall, note=""):
-    """The machine-readable BENCH_multicore.json payload."""
-    return {
-        "protocol": MULTICORE_PROTOCOL,
-        "seed": SEED,
-        "note": note,
-        "rows": {
-            m["label"]: {
-                "refs": m["refs"],
-                "scalar_seconds": round(m["scalar_seconds"], 4),
-                "batched_seconds": round(m["batched_seconds"], 4),
-                "scalar_refs_per_sec": round(m["scalar_refs_per_sec"]),
-                "batched_refs_per_sec": round(m["batched_refs_per_sec"]),
-                "speedup": round(m["speedup"], 3),
-            }
-            for m in measurements
-        },
-        "overall": {
-            "scalar_refs_per_sec": round(overall["scalar_refs_per_sec"]),
-            "batched_refs_per_sec": round(overall["batched_refs_per_sec"]),
-            "speedup": round(overall["speedup"], 3),
-            "speedup_geomean": round(overall["speedup_geomean"], 3),
         },
     }
 

@@ -11,8 +11,6 @@ Usage (from the repo root)::
     PYTHONPATH=src python benchmarks/profile_hotpath.py --row picl/W2/acs
     PYTHONPATH=src python benchmarks/profile_hotpath.py \
         --row picl/hmmer --vector on --sort tottime
-    PYTHONPATH=src python benchmarks/profile_hotpath.py --multicore
-    PYTHONPATH=src python benchmarks/profile_hotpath.py --multicore --miss
 
 ``--row`` profiles one of the named throughput rows (exact config the
 bench times, see perf_common.make_rows and make_columnar_rows);
@@ -45,18 +43,8 @@ from repro.sim.config import SystemConfig  # noqa: E402
 
 
 def build_row(args):
-    if args.multicore:
-        for row in perf_common.make_multicore_rows():
-            if row[0] == (args.row or "picl/W2"):
-                return row
-        raise SystemExit("--multicore rows are the fig10 matrix; "
-                         "got %r" % args.row)
     if args.row is not None:
-        rows = (
-            perf_common.make_rows()
-            + perf_common.make_columnar_rows()
-            + perf_common.make_multicore_rows()
-        )
+        rows = perf_common.make_rows() + perf_common.make_columnar_rows()
         for row in rows:
             if row[0] == args.row:
                 return row
@@ -92,22 +80,10 @@ def main(argv=None):
         "inside batched miss-chain drain calls and nowhere else (pins "
         "REPRO_VECTOR=1 and REPRO_BATCH_MISS=1)",
     )
-    parser.add_argument(
-        "--multicore", action="store_true",
-        help="profile the horizon-batched eight-core interpreter on a "
-        "fig10 matrix row (default picl/W2; pick another with --row). "
-        "Pins REPRO_VECTOR=1; combine with --miss to see only the "
-        "per-core drain windows",
-    )
     args = parser.parse_args(argv)
 
     # Profile real simulation work, not result-cache reads.
     os.environ.setdefault("REPRO_NO_CACHE", "1")
-    if args.multicore:
-        if args.vector == "off":
-            raise SystemExit("--multicore profiles the batched loop "
-                             "(drop --vector off)")
-        os.environ["REPRO_VECTOR"] = "1"
     if args.vector is not None:
         os.environ["REPRO_VECTOR"] = "1" if args.vector == "on" else "0"
     if args.miss:
@@ -173,42 +149,6 @@ def profile_miss_windows(profiler, row):
     drain_stats = {"calls": 0, "seconds": 0.0}
     original = MissChainEngine.make_drain
 
-    class ProfiledGen(object):
-        """Bracket every resume of a persistent drain generator.
-
-        The multi-core interpreter bypasses the one-shot drain wrapper:
-        it builds a generator via ``drain.turn_gen`` and parks it across
-        heap turns, so the profiler must switch on around each
-        ``next``/``send`` (one resume == one drain window) rather than
-        around one call.
-        """
-
-        __slots__ = ("_gen",)
-
-        def __init__(self, gen):
-            self._gen = gen
-
-        def _bracket(self, resume):
-            start = time.perf_counter()
-            profiler.enable()
-            try:
-                return resume()
-            finally:
-                profiler.disable()
-                drain_stats["calls"] += 1
-                drain_stats["seconds"] += time.perf_counter() - start
-
-        def __next__(self):
-            return self._bracket(lambda: next(self._gen))
-
-        def send(self, value):
-            return self._bracket(lambda: self._gen.send(value))
-
-        def close(self):
-            # close() runs the generator's finally block (the deferred
-            # stat flush) — still drain work, so bracket it too.
-            self._bracket(self._gen.close)
-
     def make_profiled_drain(self, *build_args):
         drain = original(self, *build_args)
 
@@ -222,10 +162,6 @@ def profile_miss_windows(profiler, row):
                 drain_stats["calls"] += 1
                 drain_stats["seconds"] += time.perf_counter() - start
 
-        def profiled_turn_gen(*args, **kwargs):
-            return ProfiledGen(drain.turn_gen(*args, **kwargs))
-
-        profiled_drain.turn_gen = profiled_turn_gen
         return profiled_drain
 
     MissChainEngine.make_drain = make_profiled_drain

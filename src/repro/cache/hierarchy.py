@@ -128,31 +128,15 @@ class CacheHierarchy:
         # private caches only need dirty-line tracking. Attached here, not in
         # SetAssocCache, because only the shared level is ever ACS-scanned.
         self.llc.eid_index = EidIndex()
-        # The columnar interpreter classifies whole epoch segments against a
-        # numpy mirror of each core's L1 tags/EIDs (see
-        # repro.cache.vector_mirror). L1s are private, so the mirror
-        # generalizes per core: the single-core loop reads core 0's, the
-        # horizon-batched multi-core loop reads the running core's.
-        # REPRO_VECTOR=0 drops every mirror and restores the scalar loops;
-        # REPRO_VECTOR_MC=0 drops them only for multi-core systems (the
-        # dedicated escape hatch the service layer pins on fleet workers).
-        if os.environ.get("REPRO_VECTOR", "1") != "0" and (
-            n_cores == 1 or os.environ.get("REPRO_VECTOR_MC", "1") != "0"
-        ):
-            for l1 in self._l1:
-                l1._vec = L1TagMirror(
-                    l1.n_sets, l1.assoc, l1._line_shift, l1._set_mask
-                )
-            # The batched miss-chain engine's *profiling* mode additionally
-            # mirrors L2/LLC tags+EIDs+dirty (LevelMirror) so residual
-            # misses can be classified per level before mutation. Only
-            # attached on request: production drains re-probe the live
-            # dicts anyway, and an attached mirror taxes every inlined
-            # fill/evict site with queue appends.
-            if os.environ.get("REPRO_MISS_PROFILE", "0") == "1":
-                for l2 in self._l2:
-                    l2.attach_mirror()
-                self.llc.attach_mirror()
+        # The single-core columnar interpreter classifies whole epoch
+        # segments against a numpy mirror of the core's L1 tags/EIDs (see
+        # repro.cache.vector_mirror). REPRO_VECTOR=0 leaves it detached
+        # and restores the scalar loop; multi-core systems never attach it.
+        if n_cores == 1 and os.environ.get("REPRO_VECTOR", "1") != "0":
+            l1 = self._l1[0]
+            l1._vec = L1TagMirror(
+                l1.n_sets, l1.assoc, l1._line_shift, l1._set_mask
+            )
         self.sink = EvictionSink(controller)
         #: Mirrors SetAssocCache._brute_scan: run the original full-sweep
         #: sync paths as a differential oracle (REPRO_BRUTE_SCAN=1).
@@ -344,18 +328,12 @@ class CacheHierarchy:
         line._home = l2
         if line._dirty:
             l2._dirty_lines[line_addr] = line
-        l2_vec = l2._vec
-        if l2_vec is not None:
-            l2_vec.pending.append(line)
         if len(cache_set) > l2.assoc:
             victim = cache_set.pop()
             del l2._tags[victim.addr]
             victim._home = None
             if victim._dirty:
                 del l2._dirty_lines[victim.addr]
-            if l2_vec is not None:
-                l2_vec.removed.append(victim.addr)
-                l2_vec.evictq.append(victim)
             l2._evictions.value += 1
             dropped = self._l1[core].remove(victim.addr)
             if dropped is not None and dropped._dirty:
@@ -388,17 +366,11 @@ class CacheHierarchy:
         index = llc.eid_index
         if index is not None and (line.eid >= 0 or line.sub_eids is not None):
             index.add(line)
-        llc_vec = llc._vec
-        if llc_vec is not None:
-            llc_vec.pending.append(line)
         if len(cache_set) <= llc.assoc:
             return 0
         victim = cache_set.pop()
         del llc._tags[victim.addr]
         victim._home = None
-        if llc_vec is not None:
-            llc_vec.removed.append(victim.addr)
-            llc_vec.evictq.append(victim)
         if victim._dirty:
             del llc._dirty_lines[victim.addr]
         # Inlined EidIndex.discard: under PiCL nearly every victim is
@@ -449,11 +421,8 @@ class CacheHierarchy:
             target.sub_eids = list(source.sub_eids)
         if new_eid != old_eid or (target.sub_eids is not None and not old_had_sub):
             home = target._home
-            if home is not None:
-                if home.eid_index is not None:
-                    home.eid_index.refresh(target, old_eid, old_had_sub)
-                if home._vec is not None:
-                    home._vec.eidq.append(target)
+            if home is not None and home.eid_index is not None:
+                home.eid_index.refresh(target, old_eid, old_had_sub)
 
     def _merge_down(self, victim, lower_cache, line_addr_level):
         target = lower_cache.lookup(victim.addr, touch=False)
@@ -490,9 +459,6 @@ class CacheHierarchy:
             l2_copy._home = None
             if l2_copy._dirty:
                 del l2._dirty_lines[addr]
-            if l2._vec is not None:
-                l2._vec.removed.append(addr)
-                l2._vec.evictq.append(l2_copy)
         # L1 holds the freshest data; fall back to L2.
         if l1_copy is not None and l1_copy._dirty:
             self._merge_lines(llc_victim, l1_copy)

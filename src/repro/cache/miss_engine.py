@@ -49,29 +49,16 @@ observe it:
 * counters/cycles/tokens flush in a ``finally``, so even a mid-drain
   ``CrashSignal`` leaves exactly the scalar crash-time values.
 
-**Safety conditions** (checked by :func:`build_engine` /
-:func:`build_engines`; any failure falls back to the scalar path,
-bit-identically):
+**Safety conditions** (checked by :func:`build_engine`; any failure
+falls back to the scalar path, bit-identically):
 
 * ``REPRO_BATCH_MISS`` not ``0`` (the escape hatch);
-* the columnar L1 mirror attached to every core's L1 (engines are
-  per-core: each binds one core's private L1/L2 and mirror, and all of
-  them share the exact LLC/NVM sink — the horizon-batched multi-core
-  interpreter serializes the turns, so at most one drain is live at a
-  time);
+* a single core with the columnar L1 mirror attached (the engine binds
+  that core's private L1/L2 and mirror; no other core can own a line);
 * no DRAM cache in front of NVM, plain single-channel ``NvmDevice``
   (the banked/open-page device has per-bank state the inline recurrence
   does not model);
 * the hierarchy's eviction sink is the scheme itself.
-
-Multi-core drains take a ``budget`` (the turn's cycle horizon): the
-drain retires references while the core's clock stays at or under it and
-stops after the first reference that crosses — exactly the heap loop's
-"re-push and compare" continuation rule. A ``tbase``/``ibase`` pair
-additionally keeps ``system.total_instructions`` / ``core.instructions``
-crash-exact: the scalar multi-core loop retires them per reference, so
-the drain's ``finally`` recomputes both from the chunk's cumulative
-instruction counts at whatever reference it stopped on.
 
 Scheme dispatch is derived from method identity
 (:meth:`repro.baselines.base.CrashConsistencyScheme.miss_engine_profile`):
@@ -87,7 +74,6 @@ for exactly this class of bug.
 """
 
 import os
-from bisect import bisect_left
 
 from repro.baselines.base import CrashConsistencyScheme
 from repro.cache.line import CacheLine, LineState
@@ -101,12 +87,12 @@ from repro.mem.nvm import AccessCategory, NvmDevice
 _WB_CALL, _WB_BASE, _WB_PICL = 0, 1, 2
 
 
-def _eligible(sim):
-    """Shared safety gate; returns (controller, device) or None."""
+def build_engine(sim):
+    """Build the single-core miss-chain engine, or None when ineligible."""
     if os.environ.get("REPRO_BATCH_MISS", "1") == "0":
         return None
     hierarchy = sim.hierarchy
-    if any(l1._vec is None for l1 in hierarchy._l1):
+    if hierarchy.n_cores != 1 or hierarchy._l1[0]._vec is None:
         return None
     if hierarchy.sink is not sim.scheme:
         return None
@@ -119,60 +105,22 @@ def _eligible(sim):
     # device) keeps the scalar path.
     if type(device) is not NvmDevice or device._only_channel is None:
         return None
-    return controller, device
-
-
-def build_engine(sim):
-    """Build the single-core miss-chain engine, or None when ineligible."""
-    if sim.hierarchy.n_cores != 1:
-        return None
-    parts = _eligible(sim)
-    if parts is None:
-        return None
-    controller, device = parts
     return MissChainEngine(sim, controller, device)
-
-
-def build_engines(sim):
-    """Per-core engines for the multi-core interpreter, or None.
-
-    One engine per core, each bound to that core's private L1/L2 and L1
-    mirror; the LLC/NVM bindings are shared. The interpreter's horizon
-    rule guarantees at most one drain runs at a time, so the shared
-    deferred state (channel recurrence, stat deltas) never interleaves.
-    """
-    parts = _eligible(sim)
-    if parts is None:
-        return None
-    controller, device = parts
-    return [
-        MissChainEngine(sim, controller, device, core_id=core_id, eager_gap=True)
-        for core_id in range(sim.hierarchy.n_cores)
-    ]
 
 
 class MissChainEngine:
     """Per-simulation state + the drain-closure factory."""
 
-    def __init__(self, sim, controller, device, core_id=0, eager_gap=False):
+    def __init__(self, sim, controller, device):
         hierarchy = sim.hierarchy
         self.hierarchy = hierarchy
         self.system = sim.system
         self.scheme = sim.scheme
-        self.core_id = core_id
-        #: Crash-time gap convention of the scalar loop this engine must
-        #: mirror. The multi-core heap loop charges a reference's compute
-        #: gap to the core BEFORE issuing the access
-        #: (``advance_compute``), the single-core segment loop only
-        #: commits it together with the access wait — observable solely
-        #: when a CrashSignal escapes mid-chain, where the crashed core's
-        #: clock must match the scalar loop's to the cycle.
-        self.eager_gap = eager_gap
-        self.core = sim.cores[core_id]
+        self.core = sim.cores[0]
         self.controller = controller
         self.device = device
-        self.l1 = hierarchy._l1[core_id]
-        self.l2 = hierarchy._l2[core_id]
+        self.l1 = hierarchy._l1[0]
+        self.l2 = hierarchy._l2[0]
         self.llc = hierarchy.llc
         self.vec = self.l1._vec
 
@@ -190,70 +138,19 @@ class MissChainEngine:
         self.buffer = getattr(sink, "buffer", None)
 
     # ------------------------------------------------------------------
-    # window classification (profiling / Amdahl accounting)
-    # ------------------------------------------------------------------
-
-    def classify(self, miss_addrs):
-        """Classify residual miss addresses per level, mutation-free.
-
-        Requires the L2/LLC :class:`~repro.cache.vector_mirror.LevelMirror`
-        planes (``REPRO_MISS_PROFILE=1``). Returns a dict with the class
-        counts the docs' Amdahl breakdown uses: classified L2 hits, LLC
-        hits, NVM fills, and how many NVM fills land in LLC sets whose
-        LRU way is dirty (a write-back-likely fill). Advisory by design —
-        the drain re-probes live dicts — so this never feeds timing.
-        """
-        import numpy as np
-
-        l2_vec = self.l2._vec
-        llc_vec = self.llc._vec
-        if l2_vec is None or llc_vec is None or not len(miss_addrs):
-            return None
-        l2_vec.sync_level(self.l2)
-        llc_vec.sync_level(self.llc)
-        a = np.asarray(miss_addrs, dtype=np.int64)
-        s2 = (a >> l2_vec._line_shift) & l2_vec._set_mask
-        l2_hit = (l2_vec.tags2d[s2] == a[:, None]).any(axis=1)
-        sL = (a >> llc_vec._line_shift) & llc_vec._set_mask
-        llc_rows = llc_vec.tags2d[sL]
-        llc_hit = (llc_rows == a[:, None]).any(axis=1)
-        nvm = ~l2_hit & ~llc_hit
-        full = (llc_rows != -1).all(axis=1)
-        lru_dirty = llc_vec.dirty2d[sL][:, -1] != 0
-        return {
-            "misses": int(a.size),
-            "l2_hits": int(np.count_nonzero(l2_hit)),
-            "llc_hits": int(np.count_nonzero(llc_hit & ~l2_hit)),
-            "nvm_fills": int(np.count_nonzero(nvm)),
-            "dirty_victim_fills": int(np.count_nonzero(nvm & full & lru_dirty)),
-        }
-
-    # ------------------------------------------------------------------
     # the drain
     # ------------------------------------------------------------------
 
     def make_drain(self, gaps, addrs, writes, cum, run_ends, wcum):
         """Build the fused drain for one trace chunk.
 
-        Returns ``drain(i, stop, seg_end, sfilter, budget=None,
-        tbase=None, ibase=None) -> new i`` with the same contract as the
-        interpreter's ``scalar_span``: processes references in
-        ``[i, stop)`` exactly, may advance past ``stop`` (never
-        ``seg_end``) through run-coalescing tails. ``sfilter`` is the
-        segment's ``vector_store_filter()`` value and fixes the store
+        Returns ``drain(i, stop, seg_end, sfilter) -> new i`` with the
+        same contract as the interpreter's ``scalar_span``: processes
+        references in ``[i, stop)`` exactly, may advance past ``stop``
+        (never ``seg_end``) through run-coalescing tails. ``sfilter`` is
+        the segment's ``vector_store_filter()`` value and fixes the store
         dispatch for the whole call (the SystemEID only moves at segment
         boundaries).
-
-        ``budget`` (multi-core turns) is the horizon: the first reference
-        of the call always retires (the heap pop is unconditional), after
-        which the drain stops as soon as the core's clock exceeds the
-        budget — including mid-run, where the coalescing tail is clamped
-        to the references whose start cycle still fits. ``tbase`` /
-        ``ibase`` make the instruction counters crash-exact: when given,
-        the ``finally`` writes ``system.total_instructions = tbase +
-        cum[i-1]`` and ``core.instructions = ibase + cum[i-1]`` so a
-        ``CrashSignal`` escaping mid-drain leaves exactly the per-
-        reference values of the scalar heap loop.
         """
         hierarchy = self.hierarchy
         system = self.system
@@ -266,34 +163,13 @@ class MissChainEngine:
         bloom = buffer.bloom if buffer is not None else None
         channel = device._only_channel
 
-        def turn_gen(
+        def drain(
             i,
             stop,
             seg_end,
             sfilter,
-            budget=None,
-            tbase=None,
-            ibase=None,
-            # Multi-core persistent-burst protocol: when ``cstate`` (the
-            # caller's per-core state) is given, the generator maintains
-            # ``cstate.pos`` / ``cstate.gen_i`` / ``cstate.scalar_budget``
-            # / ``cstate.gen_live`` itself at every park point, and
-            # ``auto_epoch`` / ``auto_crash`` switch the segment bound to
-            # self-managed: recomputed on every resume from the freshly
-            # resynced instruction totals (foreign turns move them while
-            # this generator is parked), overriding the ``seg_end``
-            # argument. ``auto_epoch`` itself is stable while the
-            # generator lives — an epoch fire bumps the caller's serial,
-            # which retires the generator before the next resume.
-            cstate=None,
-            auto_epoch=None,
-            auto_crash=None,
             # Default-arg binding, like the interpreter's scalar_span: the
             # body runs per reference and locals beat closure derefs.
-            bisect=bisect_left,
-            nlen=len(cum),
-            cid=self.core_id,
-            back_inv=hierarchy._back_invalidate,
             gaps=gaps,
             addrs=addrs,
             writes=writes,
@@ -328,7 +204,6 @@ class MissChainEngine:
             l2_mask=l2._set_mask,
             l2_assoc=l2.assoc,
             l2_latency=l2.hit_latency,
-            l2_vec=l2._vec,
             # LLC
             llc=llc,
             llc_tags=llc._tags,
@@ -338,7 +213,6 @@ class MissChainEngine:
             llc_mask=llc._set_mask,
             llc_assoc=llc.assoc,
             llc_latency=llc.hit_latency,
-            llc_vec=llc._vec,
             index=llc.eid_index,
             buckets=llc.eid_index.buckets if llc.eid_index is not None else None,
             index_refresh=(
@@ -358,7 +232,6 @@ class MissChainEngine:
             sink_on_store=hierarchy.sink.on_store,
             sink_repeat=hierarchy.sink.on_store_repeat,
             sink_wb=hierarchy.sink.write_back,
-            snoop=hierarchy._snoop_invalidate,
             # PiCL inline state
             buffer=buffer,
             bloom=bloom,
@@ -401,7 +274,6 @@ class MissChainEngine:
             SimulationError=SimulationError,
             UndoEntry=UndoEntry,
             core=self.core,
-            eager_gap=self.eager_gap,
         ):
             # Store dispatch for this call (see vector_store_filter): True
             # -> scheme-silent (base on_store, inline no-op); False -> call
@@ -438,770 +310,608 @@ class MissChainEngine:
             wbk = channel.write_backlog
             bua = channel.backlog_updated_at
             ch_live = True
-            clean = False
-            last_i = i
             try:
-                while True:
-                    if auto_epoch is None:
-                        eff = stop
+                while i < stop:
+                    cycle = ccycle + gaps[i]
+                    addr = addrs[i]
+                    w = writes[i]
+                    if w:
+                        # Token drawn before the access chain, as the
+                        # scalar loop does — a crash mid-fill must leave
+                        # the scalar _next_token.
+                        token = ntok
+                        ntok = token + 1
+                    line = l1_tags.get(addr)
+                    if line is not None:
+                        cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
+                        if cache_set[0] is not line:
+                            cache_set.remove(line)
+                            cache_set.insert(0, line)
+                        d_l1_hits += 1
+                        wait = l1_latency
                     else:
-                        # Self-managed segment bound: same formula as the
-                        # caller's run_turn segmentation — the bound
-                        # includes the boundary-crossing reference (+1) —
-                        # but recomputed here on every resume, because
-                        # foreign turns shrink the distance to the
-                        # epoch/crash boundary while this core is parked.
-                        limit = auto_epoch - tbase
-                        if auto_crash is not None and auto_crash - tbase < limit:
-                            limit = auto_crash - tbase
-                        seg_end = bisect(cum, limit, i) + 1
-                        if seg_end > nlen:
-                            seg_end = nlen
-                        eff = stop if stop < seg_end else seg_end
-                    while i < eff:
-                        if eager_gap:
-                            # The multi-core scalar loop commits the gap
-                            # (advance_compute) before the access chain,
-                            # so a CrashSignal from inside the chain must
-                            # observe it on the core clock.
-                            ccycle += gaps[i]
-                            cycle = ccycle
+                        # ==== _fill_to_l1, transcribed ====
+                        d_l1_miss += 1
+                        fstall = 0
+                        source = l2_tags.get(addr)
+                        if source is not None:
+                            cache_set = l2_sets[(addr >> l2_shift) & l2_mask]
+                            if cache_set[0] is not source:
+                                cache_set.remove(source)
+                                cache_set.insert(0, source)
+                            lat = l2_latency
+                            d_l2_hits += 1
                         else:
-                            cycle = ccycle + gaps[i]
-                        addr = addrs[i]
-                        w = writes[i]
-                        if w:
-                            # Token drawn before the access chain, as the
-                            # scalar loop does — a crash mid-fill must leave
-                            # the scalar _next_token.
-                            token = ntok
-                            ntok = token + 1
-                        line = l1_tags.get(addr)
-                        if line is not None:
-                            cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
-                            if cache_set[0] is not line:
-                                cache_set.remove(line)
-                                cache_set.insert(0, line)
-                            d_l1_hits += 1
-                            wait = l1_latency
-                        else:
-                            # ==== _fill_to_l1, transcribed ====
-                            d_l1_miss += 1
-                            fstall = 0
-                            source = l2_tags.get(addr)
-                            if source is not None:
-                                cache_set = l2_sets[(addr >> l2_shift) & l2_mask]
-                                if cache_set[0] is not source:
-                                    cache_set.remove(source)
-                                    cache_set.insert(0, source)
-                                lat = l2_latency
-                                d_l2_hits += 1
-                            else:
-                                d_l2_miss += 1
-                                # ==== _fill_to_l2, transcribed ====
-                                llc_line = llc_tags.get(addr)
-                                if llc_line is not None:
-                                    cache_set = llc_sets[
-                                        (addr >> llc_shift) & llc_mask
-                                    ]
-                                    if cache_set[0] is not llc_line:
-                                        cache_set.remove(llc_line)
-                                        cache_set.insert(0, llc_line)
-                                    lat2 = llc_latency
-                                    d_llc_hits += 1
-                                    if (
-                                        llc_line.owner is not None
-                                        and llc_line.owner != cid
-                                    ):
-                                        # Another core holds the line: the
-                                        # out-of-line snoop pulls its private
-                                        # data and releases ownership. It only
-                                        # touches the foreign core's caches
-                                        # (and their mirror queues), never the
-                                        # drain's deferred state.
-                                        snoop(llc_line)
-                                else:
-                                    d_llc_miss += 1
-                                    if ft is not None:
-                                        # (pend is provably empty here: ft is
-                                        # non-None only for redo schemes, whose
-                                        # store filter forces smode 1.)
-                                        channel.read_busy_until = rbu
-                                        channel.write_backlog = wbk
-                                        channel.backlog_updated_at = bua
-                                        ch_live = False
-                                        override = ft(addr)
-                                        rbu = channel.read_busy_until
-                                        wbk = channel.write_backlog
-                                        bua = channel.backlog_updated_at
-                                        ch_live = True
-                                    else:
-                                        override = None
-                                    # NvmDevice.read_line / _Channel.read,
-                                    # transcribed on locals.
-                                    if cycle > bua:
-                                        wbk -= cycle - bua
-                                        if wbk < 0:
-                                            wbk = 0
-                                        bua = cycle
-                                    start = rbu if rbu > cycle else cycle
-                                    start += wbk if wbk < icap else icap
-                                    finish = start + read_occ
-                                    rbu = finish
-                                    d_iops_dr += 1
-                                    d_bytes_r += 64
-                                    d_fills += 1
-                                    mem_lat = finish - cycle
-                                    if override is not None:
-                                        token_f = override
-                                        stats_add("llc.fills_from_log")
-                                    else:
-                                        # MemoryImage.read inline (0 is
-                                        # INITIAL_TOKEN; _lines never rebinds
-                                        # outside restore()).
-                                        token_f = img_lines.get(addr, 0)
-                                    # CacheLine.__init__, slot-by-slot (one
-                                    # fresh line per NVM fill).
-                                    llc_line = new_line(CacheLine)
-                                    llc_line.addr = addr
-                                    llc_line.state = EXCLUSIVE
-                                    llc_line._dirty = False
-                                    llc_line.token = token_f
-                                    llc_line.eid = EID_NONE
-                                    llc_line.owner = None
-                                    llc_line.sub_eids = None
-                                    llc_line._home = None
-                                    llc_line._vslot = -1
-                                    # ==== _insert_llc, transcribed ====
-                                    cache_set = llc_sets[
-                                        (addr >> llc_shift) & llc_mask
-                                    ]
+                            d_l2_miss += 1
+                            # ==== _fill_to_l2, transcribed ====
+                            llc_line = llc_tags.get(addr)
+                            if llc_line is not None:
+                                cache_set = llc_sets[
+                                    (addr >> llc_shift) & llc_mask
+                                ]
+                                if cache_set[0] is not llc_line:
+                                    cache_set.remove(llc_line)
                                     cache_set.insert(0, llc_line)
-                                    llc_tags[addr] = llc_line
-                                    llc_line._home = llc
-                                    # (fresh line: clean, untagged — the dirty
-                                    # dict / EID index inserts are dead code)
-                                    if llc_vec is not None:
-                                        llc_vec.pending.append(llc_line)
-                                    if len(cache_set) > llc_assoc:
-                                        victim = cache_set.pop()
-                                        vaddr = victim.addr
-                                        del llc_tags[vaddr]
-                                        victim._home = None
-                                        if victim._dirty:
-                                            del llc_dirty[vaddr]
-                                        if llc_vec is not None:
-                                            llc_vec.removed.append(vaddr)
-                                            llc_vec.evictq.append(victim)
-                                        # EidIndex.discard, inline — never
-                                        # deferred (see module docstring).
-                                        if index is not None:
-                                            if victim.sub_eids is not None:
-                                                index.sub.pop(vaddr, None)
-                                            elif victim.eid >= 0:
-                                                bucket = buckets.get(victim.eid)
-                                                if bucket is not None:
-                                                    bucket.pop(vaddr, None)
-                                                    if not bucket:
-                                                        del buckets[victim.eid]
-                                        d_llc_ev += 1
-                                        # ==== _back_invalidate, transcribed
-                                        # for the drain's own core; a victim
-                                        # owned by another core goes through
-                                        # the out-of-line helper, which only
-                                        # touches that core's private caches
-                                        # and mirror queues — none of the
-                                        # drain's deferred state.
-                                        owner = victim.owner
-                                        if owner is not None and owner != cid:
-                                            back_inv(victim)
-                                        elif owner is not None:
-                                            l1_copy = l1_tags.pop(vaddr, None)
-                                            if l1_copy is not None:
-                                                l1_sets[
-                                                    (vaddr >> l1_shift) & l1_mask
-                                                ].remove(l1_copy)
-                                                l1_copy._home = None
-                                                if l1_copy._dirty:
-                                                    del l1_dirty[vaddr]
-                                                vec_removed.append(vaddr)
-                                                vec_evictq.append(l1_copy)
-                                            l2_copy = l2_tags.pop(vaddr, None)
-                                            if l2_copy is not None:
-                                                l2_sets[
-                                                    (vaddr >> l2_shift) & l2_mask
-                                                ].remove(l2_copy)
-                                                l2_copy._home = None
-                                                if l2_copy._dirty:
-                                                    del l2_dirty[vaddr]
-                                                if l2_vec is not None:
-                                                    l2_vec.removed.append(vaddr)
-                                                    l2_vec.evictq.append(l2_copy)
-                                            if l1_copy is not None and l1_copy._dirty:
-                                                src = l1_copy
-                                            elif l2_copy is not None and l2_copy._dirty:
-                                                src = l2_copy
-                                            else:
-                                                src = None
-                                            if src is not None:
-                                                # _merge_lines inline: the LLC
-                                                # victim is detached (_home is
-                                                # None), so the dirty-dict and
-                                                # EID-index arms are dead.
-                                                victim.token = src.token
-                                                victim._dirty = True
-                                                victim.eid = src.eid
-                                                if src.sub_eids is not None:
-                                                    victim.sub_eids = list(
-                                                        src.sub_eids
-                                                    )
-                                            victim.owner = None
-                                        if victim._dirty:
-                                            d_llc_dirty += 1
-                                            vtok = victim.token
-                                            if h_fault is not None:
-                                                # Merge pend so a crash here
-                                                # observes the exact scalar
-                                                # buffer contents.
-                                                if pend:
-                                                    buffer._entries.extend(pend)
-                                                    created.value += len(pend)
-                                                    pend = []
-                                                h_fault.notify("llc_eviction")
-                                            if wb_mode == 2:
-                                                # PiclScheme.write_back +
-                                                # eviction_hazard, transcribed.
-                                                # Bloom and pending-set were
-                                                # updated eagerly at pend time,
-                                                # so the probe is live without
-                                                # merging pend first.
-                                                hstall = 0
-                                                if buffer._entries or pend:
-                                                    if bloom2:
-                                                        h1 = (
-                                                            vaddr * 2654435761
-                                                        ) & 0xFFFFFFFF
-                                                        pos = h1 & bmask
+                                lat2 = llc_latency
+                                d_llc_hits += 1
+                                # (single core: a resident LLC line is
+                                # never owned by another core, so the
+                                # scalar snoop branch is dead here)
+                            else:
+                                d_llc_miss += 1
+                                if ft is not None:
+                                    # (pend is provably empty here: ft is
+                                    # non-None only for redo schemes, whose
+                                    # store filter forces smode 1.)
+                                    channel.read_busy_until = rbu
+                                    channel.write_backlog = wbk
+                                    channel.backlog_updated_at = bua
+                                    ch_live = False
+                                    override = ft(addr)
+                                    rbu = channel.read_busy_until
+                                    wbk = channel.write_backlog
+                                    bua = channel.backlog_updated_at
+                                    ch_live = True
+                                else:
+                                    override = None
+                                # NvmDevice.read_line / _Channel.read,
+                                # transcribed on locals.
+                                if cycle > bua:
+                                    wbk -= cycle - bua
+                                    if wbk < 0:
+                                        wbk = 0
+                                    bua = cycle
+                                start = rbu if rbu > cycle else cycle
+                                start += wbk if wbk < icap else icap
+                                finish = start + read_occ
+                                rbu = finish
+                                d_iops_dr += 1
+                                d_bytes_r += 64
+                                d_fills += 1
+                                mem_lat = finish - cycle
+                                if override is not None:
+                                    token_f = override
+                                    stats_add("llc.fills_from_log")
+                                else:
+                                    # MemoryImage.read inline (0 is
+                                    # INITIAL_TOKEN; _lines never rebinds
+                                    # outside restore()).
+                                    token_f = img_lines.get(addr, 0)
+                                # CacheLine.__init__, slot-by-slot (one
+                                # fresh line per NVM fill).
+                                llc_line = new_line(CacheLine)
+                                llc_line.addr = addr
+                                llc_line.state = EXCLUSIVE
+                                llc_line._dirty = False
+                                llc_line.token = token_f
+                                llc_line.eid = EID_NONE
+                                llc_line.owner = None
+                                llc_line.sub_eids = None
+                                llc_line._home = None
+                                llc_line._vslot = -1
+                                # ==== _insert_llc, transcribed ====
+                                cache_set = llc_sets[
+                                    (addr >> llc_shift) & llc_mask
+                                ]
+                                cache_set.insert(0, llc_line)
+                                llc_tags[addr] = llc_line
+                                llc_line._home = llc
+                                # (fresh line: clean, untagged — the dirty
+                                # dict / EID index inserts are dead code)
+                                if len(cache_set) > llc_assoc:
+                                    victim = cache_set.pop()
+                                    vaddr = victim.addr
+                                    del llc_tags[vaddr]
+                                    victim._home = None
+                                    if victim._dirty:
+                                        del llc_dirty[vaddr]
+                                    # EidIndex.discard, inline — never
+                                    # deferred (see module docstring).
+                                    if index is not None:
+                                        if victim.sub_eids is not None:
+                                            index.sub.pop(vaddr, None)
+                                        elif victim.eid >= 0:
+                                            bucket = buckets.get(victim.eid)
+                                            if bucket is not None:
+                                                bucket.pop(vaddr, None)
+                                                if not bucket:
+                                                    del buckets[victim.eid]
+                                    d_llc_ev += 1
+                                    # ==== _back_invalidate, transcribed
+                                    # (the only possible owner is core 0)
+                                    if victim.owner is not None:
+                                        l1_copy = l1_tags.pop(vaddr, None)
+                                        if l1_copy is not None:
+                                            l1_sets[
+                                                (vaddr >> l1_shift) & l1_mask
+                                            ].remove(l1_copy)
+                                            l1_copy._home = None
+                                            if l1_copy._dirty:
+                                                del l1_dirty[vaddr]
+                                            vec_removed.append(vaddr)
+                                            vec_evictq.append(l1_copy)
+                                        l2_copy = l2_tags.pop(vaddr, None)
+                                        if l2_copy is not None:
+                                            l2_sets[
+                                                (vaddr >> l2_shift) & l2_mask
+                                            ].remove(l2_copy)
+                                            l2_copy._home = None
+                                            if l2_copy._dirty:
+                                                del l2_dirty[vaddr]
+                                        if l1_copy is not None and l1_copy._dirty:
+                                            src = l1_copy
+                                        elif l2_copy is not None and l2_copy._dirty:
+                                            src = l2_copy
+                                        else:
+                                            src = None
+                                        if src is not None:
+                                            # _merge_lines inline: the LLC
+                                            # victim is detached (_home is
+                                            # None), so the dirty-dict and
+                                            # EID-index arms are dead.
+                                            victim.token = src.token
+                                            victim._dirty = True
+                                            victim.eid = src.eid
+                                            if src.sub_eids is not None:
+                                                victim.sub_eids = list(
+                                                    src.sub_eids
+                                                )
+                                        victim.owner = None
+                                    if victim._dirty:
+                                        d_llc_dirty += 1
+                                        vtok = victim.token
+                                        if h_fault is not None:
+                                            # Merge pend so a crash here
+                                            # observes the exact scalar
+                                            # buffer contents.
+                                            if pend:
+                                                buffer._entries.extend(pend)
+                                                created.value += len(pend)
+                                                pend = []
+                                            h_fault.notify("llc_eviction")
+                                        if wb_mode == 2:
+                                            # PiclScheme.write_back +
+                                            # eviction_hazard, transcribed.
+                                            # Bloom and pending-set were
+                                            # updated eagerly at pend time,
+                                            # so the probe is live without
+                                            # merging pend first.
+                                            hstall = 0
+                                            if buffer._entries or pend:
+                                                if bloom2:
+                                                    h1 = (
+                                                        vaddr * 2654435761
+                                                    ) & 0xFFFFFFFF
+                                                    pos = h1 & bmask
+                                                    maybe = (
+                                                        bwords[pos >> 6]
+                                                        >> (pos & 63)
+                                                    ) & 1
+                                                    if maybe:
+                                                        pos = (
+                                                            h1
+                                                            + (
+                                                                (
+                                                                    (vaddr >> 6)
+                                                                    * 40503
+                                                                    + 0x9E3779B9
+                                                                )
+                                                                & 0xFFFFFFFF
+                                                            )
+                                                        ) & bmask
                                                         maybe = (
                                                             bwords[pos >> 6]
                                                             >> (pos & 63)
                                                         ) & 1
-                                                        if maybe:
-                                                            pos = (
-                                                                h1
-                                                                + (
-                                                                    (
-                                                                        (vaddr >> 6)
-                                                                        * 40503
-                                                                        + 0x9E3779B9
-                                                                    )
-                                                                    & 0xFFFFFFFF
-                                                                )
-                                                            ) & bmask
-                                                            maybe = (
-                                                                bwords[pos >> 6]
-                                                                >> (pos & 63)
-                                                            ) & 1
-                                                    else:
-                                                        maybe = buffer.bloom.might_contain(
-                                                            vaddr
+                                                else:
+                                                    maybe = buffer.bloom.might_contain(
+                                                        vaddr
+                                                    )
+                                                if maybe:
+                                                    if (
+                                                        vaddr
+                                                        not in buffer._pending_addrs
+                                                    ):
+                                                        stats_add(
+                                                            "undo.bloom_false_positives"
                                                         )
-                                                    if maybe:
-                                                        if (
-                                                            vaddr
-                                                            not in buffer._pending_addrs
-                                                        ):
-                                                            stats_add(
-                                                                "undo.bloom_false_positives"
-                                                            )
-                                                        stats_add("undo.forced_flushes")
-                                                        if pend:
-                                                            buffer._entries.extend(
-                                                                pend
-                                                            )
-                                                            created.value += len(pend)
-                                                            pend = []
-                                                        channel.read_busy_until = rbu
-                                                        channel.write_backlog = wbk
-                                                        channel.backlog_updated_at = bua
-                                                        ch_live = False
-                                                        hstall = buffer.flush(cycle)
-                                                        rbu = channel.read_busy_until
-                                                        wbk = channel.write_backlog
-                                                        bua = channel.backlog_updated_at
-                                                        ch_live = True
-                                                if s_fault is not None:
+                                                    stats_add("undo.forced_flushes")
                                                     if pend:
-                                                        buffer._entries.extend(pend)
+                                                        buffer._entries.extend(
+                                                            pend
+                                                        )
                                                         created.value += len(pend)
                                                         pend = []
-                                                    s_fault.notify("pre_inplace")
-                                                wnow = cycle + hstall
-                                            elif wb_mode == 1:
-                                                hstall = 0
-                                                wnow = cycle
-                                            else:
-                                                # (pend is provably empty: pend
-                                                # appends only in smode 2, which
-                                                # implies wb_mode 2.)
-                                                channel.read_busy_until = rbu
-                                                channel.write_backlog = wbk
-                                                channel.backlog_updated_at = bua
-                                                ch_live = False
-                                                fstall += sink_wb(vaddr, vtok, cycle)
-                                                rbu = channel.read_busy_until
-                                                wbk = channel.write_backlog
-                                                bua = channel.backlog_updated_at
-                                                ch_live = True
-                                                wnow = None
-                                            if wnow is not None:
-                                                # controller.writeback /
-                                                # _Channel.post_write on locals.
-                                                if wnow > bua:
-                                                    wbk -= wnow - bua
+                                                    channel.read_busy_until = rbu
+                                                    channel.write_backlog = wbk
+                                                    channel.backlog_updated_at = bua
+                                                    ch_live = False
+                                                    hstall = buffer.flush(cycle)
+                                                    rbu = channel.read_busy_until
+                                                    wbk = channel.write_backlog
+                                                    bua = channel.backlog_updated_at
+                                                    ch_live = True
+                                            if s_fault is not None:
+                                                if pend:
+                                                    buffer._entries.extend(pend)
+                                                    created.value += len(pend)
+                                                    pend = []
+                                                s_fault.notify("pre_inplace")
+                                            wnow = cycle + hstall
+                                        elif wb_mode == 1:
+                                            hstall = 0
+                                            wnow = cycle
+                                        else:
+                                            # (pend is provably empty: pend
+                                            # appends only in smode 2, which
+                                            # implies wb_mode 2.)
+                                            channel.read_busy_until = rbu
+                                            channel.write_backlog = wbk
+                                            channel.backlog_updated_at = bua
+                                            ch_live = False
+                                            fstall += sink_wb(vaddr, vtok, cycle)
+                                            rbu = channel.read_busy_until
+                                            wbk = channel.write_backlog
+                                            bua = channel.backlog_updated_at
+                                            ch_live = True
+                                            wnow = None
+                                        if wnow is not None:
+                                            # controller.writeback /
+                                            # _Channel.post_write on locals.
+                                            if wnow > bua:
+                                                wbk -= wnow - bua
+                                                if wbk < 0:
+                                                    wbk = 0
+                                                bua = wnow
+                                            if wbk > qlimit:
+                                                st = wbk - qlimit
+                                                t2 = wnow + st
+                                                if t2 > bua:
+                                                    wbk -= t2 - bua
                                                     if wbk < 0:
                                                         wbk = 0
-                                                    bua = wnow
-                                                if wbk > qlimit:
-                                                    st = wbk - qlimit
-                                                    t2 = wnow + st
-                                                    if t2 > bua:
-                                                        wbk -= t2 - bua
-                                                        if wbk < 0:
-                                                            wbk = 0
-                                                        bua = t2
-                                                else:
-                                                    st = 0
-                                                wbk += write_occ
-                                                d_iops_wb += 1
-                                                d_bytes_w += 64
-                                                img_lines[vaddr] = vtok
-                                                d_wbs += 1
-                                                fstall += hstall + st
-                                        else:
-                                            d_llc_clean += 1
-                                    lat2 = llc_latency + mem_lat
-                                llc_line.owner = cid
-                                # copy_fill inline (LLC → L2).
-                                source = new_line(CacheLine)
-                                source.addr = addr
-                                source.state = EXCLUSIVE
-                                source._dirty = False
-                                source.token = llc_line.token
-                                source.eid = llc_line.eid
-                                source.owner = None
-                                sub = llc_line.sub_eids
-                                source.sub_eids = (
-                                    list(sub) if sub is not None else None
-                                )
-                                source._home = None
-                                source._vslot = -1
-                                cache_set = l2_sets[(addr >> l2_shift) & l2_mask]
-                                cache_set.insert(0, source)
-                                l2_tags[addr] = source
-                                source._home = l2
-                                # (copy_fill lines are clean: no dirty insert)
-                                if l2_vec is not None:
-                                    l2_vec.pending.append(source)
-                                if len(cache_set) > l2_assoc:
-                                    victim = cache_set.pop()
-                                    vaddr = victim.addr
-                                    del l2_tags[vaddr]
-                                    victim._home = None
-                                    if victim._dirty:
-                                        del l2_dirty[vaddr]
-                                    if l2_vec is not None:
-                                        l2_vec.removed.append(vaddr)
-                                        l2_vec.evictq.append(victim)
-                                    d_l2_ev += 1
-                                    # l1.remove(vaddr), inline (L1 has no EID
-                                    # index; the mirror queues are eager).
-                                    dropped = l1_tags.pop(vaddr, None)
-                                    if dropped is not None:
-                                        l1_sets[
-                                            (vaddr >> l1_shift) & l1_mask
-                                        ].remove(dropped)
-                                        dropped._home = None
-                                        if dropped._dirty:
-                                            del l1_dirty[vaddr]
-                                        vec_removed.append(vaddr)
-                                        vec_evictq.append(dropped)
-                                    if dropped is not None and dropped._dirty:
-                                        # _merge_lines inline: the L2 victim is
-                                        # detached (_home None) — only the data
-                                        # fold is live.
-                                        victim.token = dropped.token
-                                        victim._dirty = True
-                                        victim.eid = dropped.eid
-                                        if dropped.sub_eids is not None:
-                                            victim.sub_eids = list(
-                                                dropped.sub_eids
-                                            )
-                                    if victim._dirty:
-                                        target = llc_tags.get(vaddr)
-                                        if target is None:
-                                            raise SimulationError(
-                                                "inclusion violated: L2 victim "
-                                                "%#x absent from LLC" % vaddr
-                                            )
-                                        # _merge_lines inline: target lives in
-                                        # the LLC — dirty dict, EID-index
-                                        # refresh, and mirror queue are live.
-                                        target.token = victim.token
-                                        if not target._dirty:
-                                            target._dirty = True
-                                            llc_dirty[vaddr] = target
-                                        old = target.eid
-                                        new_eid = victim.eid
-                                        had_sub = target.sub_eids is not None
-                                        target.eid = new_eid
-                                        if victim.sub_eids is not None:
-                                            target.sub_eids = list(
-                                                victim.sub_eids
-                                            )
-                                        if new_eid != old or (
-                                            target.sub_eids is not None
-                                            and not had_sub
-                                        ):
-                                            if index is not None:
-                                                index_refresh(
-                                                    target, old, had_sub
-                                                )
-                                            if llc_vec is not None:
-                                                llc_vec.eidq.append(target)
-                                lat = lat2 + l2_latency
-                            # copy_fill inline (L2 → L1).
-                            line = new_line(CacheLine)
-                            line.addr = addr
-                            line.state = EXCLUSIVE
-                            line._dirty = False
-                            line.token = source.token
-                            line.eid = source.eid
-                            line.owner = None
-                            sub = source.sub_eids
-                            line.sub_eids = list(sub) if sub is not None else None
-                            line._home = None
-                            line._vslot = -1
-                            cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
-                            cache_set.insert(0, line)
-                            l1_tags[addr] = line
-                            line._home = l1
+                                                    bua = t2
+                                            else:
+                                                st = 0
+                                            wbk += write_occ
+                                            d_iops_wb += 1
+                                            d_bytes_w += 64
+                                            img_lines[vaddr] = vtok
+                                            d_wbs += 1
+                                            fstall += hstall + st
+                                    else:
+                                        d_llc_clean += 1
+                                lat2 = llc_latency + mem_lat
+                            llc_line.owner = 0
+                            # copy_fill inline (LLC → L2).
+                            source = new_line(CacheLine)
+                            source.addr = addr
+                            source.state = EXCLUSIVE
+                            source._dirty = False
+                            source.token = llc_line.token
+                            source.eid = llc_line.eid
+                            source.owner = None
+                            sub = llc_line.sub_eids
+                            source.sub_eids = (
+                                list(sub) if sub is not None else None
+                            )
+                            source._home = None
+                            source._vslot = -1
+                            cache_set = l2_sets[(addr >> l2_shift) & l2_mask]
+                            cache_set.insert(0, source)
+                            l2_tags[addr] = source
+                            source._home = l2
                             # (copy_fill lines are clean: no dirty insert)
-                            vec_pending.append(line)
-                            if len(cache_set) > l1_assoc:
+                            if len(cache_set) > l2_assoc:
                                 victim = cache_set.pop()
                                 vaddr = victim.addr
-                                del l1_tags[vaddr]
+                                del l2_tags[vaddr]
                                 victim._home = None
-                                vec_removed.append(vaddr)
-                                vec_evictq.append(victim)
-                                d_l1_ev += 1
                                 if victim._dirty:
-                                    del l1_dirty[vaddr]
-                                    # _merge_down into L2
-                                    target = l2_tags.get(vaddr)
+                                    del l2_dirty[vaddr]
+                                d_l2_ev += 1
+                                # l1.remove(vaddr), inline (L1 has no EID
+                                # index; the mirror queues are eager).
+                                dropped = l1_tags.pop(vaddr, None)
+                                if dropped is not None:
+                                    l1_sets[
+                                        (vaddr >> l1_shift) & l1_mask
+                                    ].remove(dropped)
+                                    dropped._home = None
+                                    if dropped._dirty:
+                                        del l1_dirty[vaddr]
+                                    vec_removed.append(vaddr)
+                                    vec_evictq.append(dropped)
+                                if dropped is not None and dropped._dirty:
+                                    # _merge_lines inline: the L2 victim is
+                                    # detached (_home None) — only the data
+                                    # fold is live.
+                                    victim.token = dropped.token
+                                    victim._dirty = True
+                                    victim.eid = dropped.eid
+                                    if dropped.sub_eids is not None:
+                                        victim.sub_eids = list(
+                                            dropped.sub_eids
+                                        )
+                                if victim._dirty:
+                                    target = llc_tags.get(vaddr)
                                     if target is None:
                                         raise SimulationError(
-                                            "inclusion violated: L1 victim %#x "
-                                            "absent from l2" % vaddr
+                                            "inclusion violated: L2 victim "
+                                            "%#x absent from LLC" % vaddr
                                         )
-                                    # _merge_lines inline: target lives in the
-                                    # L2 — dirty dict and mirror queue live, no
-                                    # EID index on private caches.
+                                    # _merge_lines inline: target lives in
+                                    # the LLC — dirty dict and EID-index
+                                    # refresh are live.
                                     target.token = victim.token
                                     if not target._dirty:
                                         target._dirty = True
-                                        l2_dirty[vaddr] = target
+                                        llc_dirty[vaddr] = target
                                     old = target.eid
                                     new_eid = victim.eid
                                     had_sub = target.sub_eids is not None
                                     target.eid = new_eid
                                     if victim.sub_eids is not None:
-                                        target.sub_eids = list(victim.sub_eids)
+                                        target.sub_eids = list(
+                                            victim.sub_eids
+                                        )
                                     if new_eid != old or (
                                         target.sub_eids is not None
                                         and not had_sub
                                     ):
-                                        if l2_vec is not None:
-                                            l2_vec.eidq.append(target)
-                            fill_lat = lat + l1_latency
-                            if w:
-                                wait = int(fill_lat * smf) + fstall
-                            else:
-                                wait = fill_lat + fstall
-                        # ==== the store continuation of access() ====
+                                        if index is not None:
+                                            index_refresh(
+                                                target, old, had_sub
+                                            )
+                            lat = lat2 + l2_latency
+                        # copy_fill inline (L2 → L1).
+                        line = new_line(CacheLine)
+                        line.addr = addr
+                        line.state = EXCLUSIVE
+                        line._dirty = False
+                        line.token = source.token
+                        line.eid = source.eid
+                        line.owner = None
+                        sub = source.sub_eids
+                        line.sub_eids = list(sub) if sub is not None else None
+                        line._home = None
+                        line._vslot = -1
+                        cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
+                        cache_set.insert(0, line)
+                        l1_tags[addr] = line
+                        line._home = l1
+                        # (copy_fill lines are clean: no dirty insert)
+                        vec_pending.append(line)
+                        if len(cache_set) > l1_assoc:
+                            victim = cache_set.pop()
+                            vaddr = victim.addr
+                            del l1_tags[vaddr]
+                            victim._home = None
+                            vec_removed.append(vaddr)
+                            vec_evictq.append(victim)
+                            d_l1_ev += 1
+                            if victim._dirty:
+                                del l1_dirty[vaddr]
+                                # _merge_down into L2
+                                target = l2_tags.get(vaddr)
+                                if target is None:
+                                    raise SimulationError(
+                                        "inclusion violated: L1 victim %#x "
+                                        "absent from l2" % vaddr
+                                    )
+                                # _merge_lines inline: target lives in the
+                                # L2 — dirty dict live, no EID index on
+                                # private caches.
+                                target.token = victim.token
+                                if not target._dirty:
+                                    target._dirty = True
+                                    l2_dirty[vaddr] = target
+                                target.eid = victim.eid
+                                if victim.sub_eids is not None:
+                                    target.sub_eids = list(victim.sub_eids)
+                        fill_lat = lat + l1_latency
                         if w:
-                            if smode == 2:
-                                # PiclScheme.on_store, plain mode, transcribed:
-                                # cheap same-epoch branch, else the full branch
-                                # with the undo append deferred into ``pend``.
-                                seq_delta += 1
-                                if line.eid != sys_eid:
-                                    vf = line.eid
-                                    if vf < 0:
-                                        vf = epochs.persisted_eid
-                                    entry = UndoEntry(addr, line.token, vf, sys_eid)
-                                    if (
-                                        len(buffer._entries) + len(pend) + 1
-                                        >= capacity
-                                    ):
-                                        # The capacity-reaching entry goes
-                                        # through add() so the flush fires at
-                                        # the scalar trigger with the scalar
-                                        # issue cycle (add() itself does the
-                                        # bloom/pending/created work for it).
-                                        if pend:
-                                            buffer._entries.extend(pend)
-                                            created.value += len(pend)
-                                            pend = []
-                                        channel.read_busy_until = rbu
-                                        channel.write_backlog = wbk
-                                        channel.backlog_updated_at = bua
-                                        ch_live = False
-                                        wait += buffer.add(entry, cycle)
-                                        rbu = channel.read_busy_until
-                                        wbk = channel.write_backlog
-                                        bua = channel.backlog_updated_at
-                                        ch_live = True
-                                    else:
-                                        # Defer the FIFO append, but update the
-                                        # hazard-probe structures eagerly —
-                                        # BloomFilter.add (2-hash, unrolled)
-                                        # and the pending-address set.
-                                        pend.append(entry)
-                                        buffer._pending_addrs.add(addr)
-                                        if bloom2:
-                                            h1 = (addr * 2654435761) & 0xFFFFFFFF
-                                            pos = h1 & bmask
-                                            bwords[pos >> 6] |= 1 << (pos & 63)
-                                            pos = (
-                                                h1
-                                                + (
-                                                    ((addr >> 6) * 40503 + 0x9E3779B9)
-                                                    & 0xFFFFFFFF
-                                                )
-                                            ) & bmask
-                                            bwords[pos >> 6] |= 1 << (pos & 63)
-                                            bloom._population += 1
-                                        else:
-                                            bloom_add(addr)
-                                    # apply_store on the L1 line (64 B, no
-                                    # EID index on private caches).
-                                    line.eid = sys_eid
-                                    d_cross += 1
-                                    # Undo forwarding: retag the LLC copy,
-                                    # EID-index exact (apply_store inline).
-                                    llc_fwd = llc_tags.get(addr)
-                                    if llc_fwd is None:
-                                        raise SimulationError(
-                                            "inclusion violated: stored line "
-                                            "%#x absent from LLC" % addr
-                                        )
-                                    if llc_fwd is not line:
-                                        # apply_store on the LLC copy:
-                                        # EidIndex.retag transcribed (strict
-                                        # KeyError on drift, like the index).
-                                        old = llc_fwd.eid
-                                        if old != sys_eid:
-                                            llc_fwd.eid = sys_eid
-                                            if llc_fwd.sub_eids is None:
-                                                if old >= 0:
-                                                    bucket = buckets[old]
-                                                    del bucket[addr]
-                                                    if not bucket:
-                                                        del buckets[old]
-                                                bucket = buckets.get(sys_eid)
-                                                if bucket is None:
-                                                    bucket = buckets[sys_eid] = {}
-                                                bucket[addr] = llc_fwd
-                                                if llc_vec is not None:
-                                                    llc_vec.eidq.append(llc_fwd)
-                            elif smode == 1:
-                                # (pend is provably empty in smode 1.)
-                                channel.read_busy_until = rbu
-                                channel.write_backlog = wbk
-                                channel.backlog_updated_at = bua
-                                ch_live = False
-                                wait += sink_on_store(cid, line, cycle)
-                                rbu = channel.read_busy_until
-                                wbk = channel.write_backlog
-                                bua = channel.backlog_updated_at
-                                ch_live = True
-                            # smode 0: base on_store is a no-op.
-                            line.token = token
-                            if not line._dirty:
-                                line._dirty = True
-                                l1_dirty[addr] = line
-                            line.state = modified
-                            vec_eidq.append(line)
-                            d_stores += 1
-                            if track:
-                                arch_image[addr] = token
+                            wait = int(fill_lat * smf) + fstall
                         else:
-                            d_loads += 1
-                        ccycle = cycle + wait
-                        mstall += wait
-                        if budget is not None and ccycle > budget:
-                            # Horizon crossed: this reference still retires
-                            # (the heap loop pushes after it), but the turn
-                            # ends here — no tail, no next reference.
-                            i += 1
-                            break
-                        # ==== run-coalescing tail (access_repeat inline) ====
-                        run_end = run_ends[i]
-                        if run_end > seg_end:
-                            run_end = seg_end
-                        i += 1
-                        if budget is not None and run_end > i:
-                            # Clamp the tail to the horizon: a tail reference
-                            # executes iff the clock before it is within
-                            # budget (each costs its gap plus the hit
-                            # latency), and the first crossing reference is
-                            # included — the same continuation rule as the
-                            # per-reference loop above.
-                            e = i
-                            cc = ccycle
-                            while e < run_end and cc <= budget:
-                                cc += cum[e] - cum[e - 1] + l1_latency - 1
-                                e += 1
-                            run_end = e
-                        if run_end > i:
-                            k = run_end - i
-                            kw = wcum[run_end - 1] - wcum[i - 1]
-                            if kw:
-                                # The head access just made ``line`` resident
-                                # and MRU (fills insert at the front, hits
-                                # move to it, and no scheme callback evicts
-                                # L1 lines), so the scalar probe is provably
-                                # true and skipped; the dirty/MODIFIED guard
-                                # is real — the head may have been a load.
-                                ok = False
-                                if line._dirty and line.state == modified:
-                                    if smode == 0:
-                                        ok = True
-                                    elif smode == 2:
-                                        if line.eid == sys_eid:
-                                            seq_delta += kw
-                                            ok = True
+                            wait = fill_lat + fstall
+                    # ==== the store continuation of access() ====
+                    if w:
+                        if smode == 2:
+                            # PiclScheme.on_store, plain mode, transcribed:
+                            # cheap same-epoch branch, else the full branch
+                            # with the undo append deferred into ``pend``.
+                            seq_delta += 1
+                            if line.eid != sys_eid:
+                                vf = line.eid
+                                if vf < 0:
+                                    vf = epochs.persisted_eid
+                                entry = UndoEntry(addr, line.token, vf, sys_eid)
+                                if (
+                                    len(buffer._entries) + len(pend) + 1
+                                    >= capacity
+                                ):
+                                    # The capacity-reaching entry goes
+                                    # through add() so the flush fires at
+                                    # the scalar trigger with the scalar
+                                    # issue cycle (add() itself does the
+                                    # bloom/pending/created work for it).
+                                    if pend:
+                                        buffer._entries.extend(pend)
+                                        created.value += len(pend)
+                                        pend = []
+                                    channel.read_busy_until = rbu
+                                    channel.write_backlog = wbk
+                                    channel.backlog_updated_at = bua
+                                    ch_live = False
+                                    wait += buffer.add(entry, cycle)
+                                    rbu = channel.read_busy_until
+                                    wbk = channel.write_backlog
+                                    bua = channel.backlog_updated_at
+                                    ch_live = True
+                                else:
+                                    # Defer the FIFO append, but update the
+                                    # hazard-probe structures eagerly —
+                                    # BloomFilter.add (2-hash, unrolled)
+                                    # and the pending-address set.
+                                    pend.append(entry)
+                                    buffer._pending_addrs.add(addr)
+                                    if bloom2:
+                                        h1 = (addr * 2654435761) & 0xFFFFFFFF
+                                        pos = h1 & bmask
+                                        bwords[pos >> 6] |= 1 << (pos & 63)
+                                        pos = (
+                                            h1
+                                            + (
+                                                ((addr >> 6) * 40503 + 0x9E3779B9)
+                                                & 0xFFFFFFFF
+                                            )
+                                        ) & bmask
+                                        bwords[pos >> 6] |= 1 << (pos & 63)
+                                        bloom._population += 1
                                     else:
-                                        # (pend is provably empty in smode 1.)
-                                        channel.read_busy_until = rbu
-                                        channel.write_backlog = wbk
-                                        channel.backlog_updated_at = bua
-                                        ch_live = False
-                                        ok = (
-                                            sink_repeat(cid, line, kw, ccycle)
-                                            is not None
-                                        )
-                                        rbu = channel.read_busy_until
-                                        wbk = channel.write_backlog
-                                        bua = channel.backlog_updated_at
-                                        ch_live = True
-                                if not ok:
-                                    continue
-                                last_token = ntok + kw - 1
-                                line.token = last_token
-                                d_stores += kw
-                                d_l1_hits += k
-                                d_loads += k - kw
-                                ntok += kw
-                                if track:
-                                    arch_image[addr] = last_token
-                                wait = k * l1_latency
-                            else:
-                                d_l1_hits += k
-                                d_loads += k
-                                wait = k * l1_latency
-                            ccycle += (cum[run_end - 1] - cum[i - 1]) - k + wait
-                            mstall += wait
-                            i = run_end
-                            if budget is not None and ccycle > budget:
-                                break
-                    # ---- horizon yield ----------------------------------
-                    # Park only the state other agents read between turns:
-                    # the shared NVM channel recurrence, the global token
-                    # counter, the undo-FIFO deferrals (foreign hazard
-                    # probes read ``buffer._entries``), this core's clock
-                    # (the heap orders on it), and the instruction
-                    # counters (foreign resumes re-derive their own bases
-                    # from the global total). The stat deltas have no
-                    # mid-run readers — they stay deferred until the
-                    # generator finishes or is closed (the ``finally``
-                    # below always flushes the deltas; ``clean`` guards
-                    # only the parked state).
-                    if pend:
-                        buffer._entries.extend(pend)
-                        created.value += len(pend)
-                        pend = []
+                                        bloom_add(addr)
+                                # apply_store on the L1 line (64 B, no
+                                # EID index on private caches).
+                                line.eid = sys_eid
+                                d_cross += 1
+                                # Undo forwarding: retag the LLC copy,
+                                # EID-index exact (apply_store inline).
+                                llc_fwd = llc_tags.get(addr)
+                                if llc_fwd is None:
+                                    raise SimulationError(
+                                        "inclusion violated: stored line "
+                                        "%#x absent from LLC" % addr
+                                    )
+                                if llc_fwd is not line:
+                                    # apply_store on the LLC copy:
+                                    # EidIndex.retag transcribed (strict
+                                    # KeyError on drift, like the index).
+                                    old = llc_fwd.eid
+                                    if old != sys_eid:
+                                        llc_fwd.eid = sys_eid
+                                        if llc_fwd.sub_eids is None:
+                                            if old >= 0:
+                                                bucket = buckets[old]
+                                                del bucket[addr]
+                                                if not bucket:
+                                                    del buckets[old]
+                                            bucket = buckets.get(sys_eid)
+                                            if bucket is None:
+                                                bucket = buckets[sys_eid] = {}
+                                            bucket[addr] = llc_fwd
+                        elif smode == 1:
+                            # (pend is provably empty in smode 1.)
+                            channel.read_busy_until = rbu
+                            channel.write_backlog = wbk
+                            channel.backlog_updated_at = bua
+                            ch_live = False
+                            wait += sink_on_store(0, line, cycle)
+                            rbu = channel.read_busy_until
+                            wbk = channel.write_backlog
+                            bua = channel.backlog_updated_at
+                            ch_live = True
+                        # smode 0: base on_store is a no-op.
+                        line.token = token
+                        if not line._dirty:
+                            line._dirty = True
+                            l1_dirty[addr] = line
+                        line.state = modified
+                        vec_eidq.append(line)
+                        d_stores += 1
+                        if track:
+                            arch_image[addr] = token
+                    else:
+                        d_loads += 1
+                    ccycle = cycle + wait
+                    mstall += wait
+                    # ==== run-coalescing tail (access_repeat inline) ====
+                    run_end = run_ends[i]
+                    if run_end > seg_end:
+                        run_end = seg_end
+                    i += 1
+                    if run_end > i:
+                        k = run_end - i
+                        kw = wcum[run_end - 1] - wcum[i - 1]
+                        if kw:
+                            # The head access just made ``line`` resident
+                            # and MRU (fills insert at the front, hits
+                            # move to it, and no scheme callback evicts
+                            # L1 lines), so the scalar probe is provably
+                            # true and skipped; the dirty/MODIFIED guard
+                            # is real — the head may have been a load.
+                            ok = False
+                            if line._dirty and line.state == modified:
+                                if smode == 0:
+                                    ok = True
+                                elif smode == 2:
+                                    if line.eid == sys_eid:
+                                        seq_delta += kw
+                                        ok = True
+                                else:
+                                    # (pend is provably empty in smode 1.)
+                                    channel.read_busy_until = rbu
+                                    channel.write_backlog = wbk
+                                    channel.backlog_updated_at = bua
+                                    ch_live = False
+                                    ok = (
+                                        sink_repeat(0, line, kw, ccycle)
+                                        is not None
+                                    )
+                                    rbu = channel.read_busy_until
+                                    wbk = channel.write_backlog
+                                    bua = channel.backlog_updated_at
+                                    ch_live = True
+                            if not ok:
+                                continue
+                            last_token = ntok + kw - 1
+                            line.token = last_token
+                            d_stores += kw
+                            d_l1_hits += k
+                            d_loads += k - kw
+                            ntok += kw
+                            if track:
+                                arch_image[addr] = last_token
+                            wait = k * l1_latency
+                        else:
+                            d_l1_hits += k
+                            d_loads += k
+                            wait = k * l1_latency
+                        ccycle += (cum[run_end - 1] - cum[i - 1]) - k + wait
+                        mstall += wait
+                        i = run_end
+            finally:
+                if pend:
+                    buffer._entries.extend(pend)
+                    created.value += len(pend)
+                if ch_live:
                     channel.read_busy_until = rbu
                     channel.write_backlog = wbk
                     channel.backlog_updated_at = bua
-                    core.cycle = ccycle
-                    core.mem_stall_cycles = mstall
-                    system._next_token = ntok
-                    if tbase is not None:
-                        done = cum[i - 1] if i else 0
-                        system.total_instructions = tbase + done
-                        core.instructions = ibase + done
-                    if cstate is not None:
-                        cstate.pos = i
-                        cstate.gen_i = i
-                        cstate.scalar_budget -= i - last_i
-                        last_i = i
-                    clean = True
-                    if i >= eff:
-                        # Burst retired, segment boundary reached, or
-                        # chunk tail hit: the caller runs the boundary
-                        # bookkeeping (``gen_live`` tells it this was a
-                        # completion, not a horizon park).
-                        if cstate is not None:
-                            cstate.gen_live = False
-                        yield i
-                        return
-                    budget = yield i
-                    clean = False
-                    # ---- resume: reload what other turns moved ----------
-                    ccycle = core.cycle
-                    mstall = core.mem_stall_cycles
-                    ntok = system._next_token
-                    rbu = channel.read_busy_until
-                    wbk = channel.write_backlog
-                    bua = channel.backlog_updated_at
-                    if tbase is not None:
-                        done = cum[i - 1] if i else 0
-                        tbase = system.total_instructions - done
-                        ibase = core.instructions - done
-            finally:
-                if not clean:
-                    if pend:
-                        buffer._entries.extend(pend)
-                        created.value += len(pend)
-                    if ch_live:
-                        channel.read_busy_until = rbu
-                        channel.write_backlog = wbk
-                        channel.backlog_updated_at = bua
-                    core.cycle = ccycle
-                    core.mem_stall_cycles = mstall
-                    if tbase is not None:
-                        # Multi-core crash exactness: the scalar heap loop
-                        # retires total/core instructions per reference, so
-                        # recompute both from the chunk's cumulative counts at
-                        # whatever reference this call stopped on — including
-                        # a CrashSignal escaping mid-reference, where ``i`` is
-                        # the in-flight (uncounted) reference. With
-                        # ``eager_gap`` the scalar loop's advance_compute has
-                        # already retired the in-flight gap onto the CORE
-                        # counter (never the global total, which it only
-                        # bumps after the access returns), so mirror that.
-                        done = cum[i - 1] if i else 0
-                        system.total_instructions = tbase + done
-                        core.instructions = ibase + done
-                        if eager_gap and i < nlen:
-                            core.instructions += gaps[i]
-                    system._next_token = ntok
-                # Deltas accumulate across parked turns; they flush exactly
-                # once — here — whether the generator completes, dies on a
-                # crash, or is closed while parked.
+                core.cycle = ccycle
+                core.mem_stall_cycles = mstall
+                system._next_token = ntok
+                # Deltas flush exactly once — here — whether the drain
+                # completes or dies on a crash.
                 if seq_delta:
                     scheme._store_seq += seq_delta
                 if d_l1_hits:
@@ -1244,19 +954,6 @@ class MissChainEngine:
                     s_bytes_w.value += d_bytes_w
                 if d_cross:
                     s_cross.value += d_cross
-
-        def drain(i, stop, seg_end, sfilter, budget=None, tbase=None, ibase=None):
-            # One-shot wrapper over the generator: a single advance covers
-            # the whole span (or the first horizon crossing — the shared
-            # state is parked at the yield, so closing the parked
-            # generator is side-effect free).
-            g = turn_gen(i, stop, seg_end, sfilter, budget, tbase, ibase)
-            i = next(g)
-            g.close()
             return i
 
-        # The multi-core burst path holds one generator per core across
-        # turns (sending each turn's budget) so the prologue/epilogue
-        # amortizes over the whole burst, not one ~4-reference turn.
-        drain.turn_gen = turn_gen
         return drain

@@ -41,17 +41,6 @@ matter, and only one is dangerous:
 Tags are line addresses (always ``>= 0``); empty ways hold ``-1``. The EID
 table is only consulted for ways whose tag matched, so its value for empty
 ways is irrelevant.
-
-The same structure mirrors the L2 and LLC for the batched miss-chain
-engine (:mod:`repro.cache.miss_engine`): :class:`LevelMirror` adds a dirty
-plane so a window's residual misses can be classified per level — L2 hit /
-LLC hit / NVM fill, dirty-victim likelihood — array-at-a-time before any
-state is mutated. Those planes are *advisory*: the drain loop re-probes
-the live tag dicts as it mutates (a mid-window fill or eviction would
-otherwise go unseen), so a stale plane can only mispredict a class, never
-corrupt a result. ``REPRO_BRUTE_SCAN=1``-style verification is available
-through :meth:`LevelMirror.verify_against`, which diffs a synced plane
-against the live cache and fails fast on divergence.
 """
 
 import numpy as np
@@ -60,8 +49,8 @@ import numpy as np
 EMPTY = -1
 
 
-class TagMirror:
-    """Array mirror of a set-associative cache's residency and EID tags."""
+class L1TagMirror:
+    """Array mirror of the single core's L1 residency and EID tags."""
 
     __slots__ = (
         "n_sets",
@@ -209,75 +198,3 @@ class TagMirror:
 
     def __len__(self):
         return int((self.tags != EMPTY).sum())
-
-
-#: The single core's private L1 carries a plain tag mirror (the columnar
-#: interpreter's hit classifier). Kept under its historical name.
-L1TagMirror = TagMirror
-
-
-class LevelMirror(TagMirror):
-    """Tag + EID + dirty planes for a shared level (L2 or LLC).
-
-    Used by the batched miss-chain engine to classify a window's residual
-    misses per level (L2 hit / LLC hit / NVM fill, dirty-victim share)
-    before any state mutation. Unlike the L1 mirror, whose classifications
-    gate the bulk path and must therefore be exact at sync time, these
-    planes are advisory — the drain loop re-probes live dicts as it
-    mutates — so the dirty plane is simply rebuilt from the level's dirty
-    dict at each sync (O(dirty), and dirty sets at these levels are small
-    relative to the window cadence).
-    """
-
-    __slots__ = ("dirty", "dirty2d")
-
-    def __init__(self, n_sets, assoc, line_shift, set_mask):
-        super().__init__(n_sets, assoc, line_shift, set_mask)
-        self.dirty = np.zeros(n_sets * assoc, dtype=np.int8)
-        self.dirty2d = self.dirty.reshape(n_sets, assoc)
-
-    def sync_level(self, cache):
-        """Sync tags/EIDs from the level's queues, then rebuild dirty."""
-        self.sync(cache._tags)
-        dirty = self.dirty
-        dirty.fill(0)
-        for line in cache._dirty_lines.values():
-            slot = line._vslot
-            if slot >= 0:
-                dirty[slot] = 1
-
-    def clear(self):
-        super().clear()
-        self.dirty.fill(0)
-
-    def verify_against(self, cache):
-        """Brute-force differential oracle (``REPRO_BRUTE_SCAN`` idiom).
-
-        Diffs a just-synced plane against the live cache and returns a
-        list of mismatch descriptions (empty = coherent). Tests and the
-        escape hatch call this; production never does.
-        """
-        problems = []
-        seen = 0
-        for addr, line in cache._tags.items():
-            slot = line._vslot
-            if slot < 0:
-                problems.append("resident %#x has no slot" % addr)
-                continue
-            seen += 1
-            if self.tags[slot] != addr:
-                problems.append(
-                    "slot %d tag %d != addr %#x" % (slot, self.tags[slot], addr)
-                )
-            elif self.eids[slot] != line.eid:
-                problems.append(
-                    "addr %#x eid %d != %d" % (addr, self.eids[slot], line.eid)
-                )
-            elif bool(self.dirty[slot]) != bool(line._dirty):
-                problems.append(
-                    "addr %#x dirty %d != %s" % (addr, self.dirty[slot], line._dirty)
-                )
-        occupied = int((self.tags != EMPTY).sum())
-        if occupied != seen:
-            problems.append("mirror holds %d tags, cache %d" % (occupied, seen))
-        return problems

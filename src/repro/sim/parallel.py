@@ -97,10 +97,8 @@ ISOLATED_FALLBACK_TIMEOUT = 3600.0
 #: the service.
 ENGINE_FLAGS = (
     "REPRO_VECTOR",
-    "REPRO_VECTOR_MC",
     "REPRO_BATCH_MISS",
     "REPRO_BRUTE_SCAN",
-    "REPRO_MISS_PROFILE",
 )
 
 #: Default remote-worker lease in seconds: a worker that has not

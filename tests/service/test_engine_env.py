@@ -1,9 +1,8 @@
 """Engine-flag propagation: client environment governs worker processes.
 
-``REPRO_VECTOR`` / ``REPRO_BATCH_MISS`` / ``REPRO_BRUTE_SCAN`` /
-``REPRO_MISS_PROFILE`` select *how* a simulation executes (all modes are
-bit-identical), and they are read when the hierarchy is built — in the
-worker process. These tests pin the contract that a submitting client's
+``REPRO_VECTOR`` / ``REPRO_BATCH_MISS`` / ``REPRO_BRUTE_SCAN`` select
+*how* a simulation executes (all modes are bit-identical), and they are
+read when the hierarchy is built — in the worker process. These tests pin the contract that a submitting client's
 flags travel with its batch: captured by :func:`engine_env`, shipped
 through the protocol, spooled for restart recovery, carried on scheduler
 units, and finally pinned inside the isolated child by
@@ -152,3 +151,62 @@ class TestProtocolAndSpool:
         asyncio.run(scenario())
         assert ("old", None) in seen
         assert ("new", {"REPRO_BATCH_MISS": "0"}) in seen
+
+
+class _RecordingWriter:
+    """Stands in for the client's stream writer; keeps every message."""
+
+    def __init__(self):
+        self.messages = []
+
+    def write(self, data):
+        self.messages.append(protocol.loads(data))
+
+    async def drain(self):
+        pass
+
+
+class TestServerSanitisation:
+    def test_submit_drops_unknown_env_keys(self, tmp_path, monkeypatch):
+        # A submit is not a general env-injection channel: keys outside
+        # ENGINE_FLAGS — an arbitrary loader variable, or a retired
+        # engine switch an older client still sets — are dropped before
+        # the batch is queued, and the batch still completes.
+        monkeypatch.delenv("REPRO_VECTOR", raising=False)
+        queued = []
+
+        async def scenario():
+            service = SweepService(spool_dir=str(tmp_path), cache=None, jobs=1)
+            submit = service.scheduler.submit
+
+            def record_submit(client, points, batch_id=None, env=None):
+                queued.append(env)
+                return submit(client, points, batch_id=batch_id, env=env)
+
+            service.scheduler.submit = record_submit
+            service.scheduler.start()
+            writer = _RecordingWriter()
+            message = protocol.submit_points(
+                "b-env",
+                [probe(8), probe(9)],
+                env={"REPRO_VECTOR": "0", "REPRO_VECTOR_MC": "0", "LD_PRELOAD": "x"},
+            )
+            await service._handle_submit(message, writer, "client-a")
+            await service.scheduler.close()
+            for task in list(service._background):
+                await task
+            return writer.messages
+
+        messages = asyncio.run(scenario())
+        assert queued == [{"REPRO_VECTOR": "0"}]
+        points = [m for m in messages if m["event"] == "point"]
+        assert len(points) == 2
+        for point in points:
+            seen = protocol.decode_payload(point["result"])
+            assert seen == {
+                "REPRO_VECTOR": "0",
+                "REPRO_BATCH_MISS": None,
+                "REPRO_BRUTE_SCAN": None,
+            }
+        assert messages[-1]["event"] == "done"
+        assert messages[-1]["failures"] == 0

@@ -9,6 +9,13 @@ architectural snapshot of the scheme's last commit.
 import pytest
 
 from helpers import images_equal
+from repro.fault.harness import ACS_OVERRIDES
+from repro.fault.plan import (
+    SEMANTIC_SITES,
+    SITE_ACS_SCAN,
+    SITE_UNDO_FLUSH,
+    CrashPlan,
+)
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Simulation
 
@@ -34,12 +41,46 @@ def test_crash_recovery_end_to_end(scheme, crash_fraction):
     assert images_equal(image, reference)
 
 
-@pytest.mark.parametrize("scheme", RECOVERABLE_SCHEMES)
-def test_crash_recovery_multicore(scheme):
-    config = small_config(n_cores=4)
-    benchmarks = ["gcc", "lbm", "gamess", "astar"]
-    sim = Simulation(config, scheme, benchmarks, 30_000, seed=9)
-    sim.run(crash_at_instructions=4 * 30_000 // 2)
+#: (scheme, n_cores, shared_memory, semantic site or None for an
+#: instruction-count crash halfway through the run). The site cases put a
+#: power failure inside each narrow crash window of the multi-core heap
+#: loop; the torn undo flush lands only one entry of its burst.
+MULTICORE_CASES = (
+    [pytest.param(scheme, 4, False, None, id=scheme) for scheme in RECOVERABLE_SCHEMES]
+    + [
+        pytest.param("picl", 2, False, site, id="picl-2core-" + site)
+        for site in SEMANTIC_SITES
+    ]
+    + [pytest.param("picl", 4, True, None, id="picl-shared")]
+)
+
+
+@pytest.mark.parametrize("scheme, n_cores, shared, site", MULTICORE_CASES)
+def test_crash_recovery_multicore(scheme, n_cores, shared, site):
+    if site is None:
+        config = small_config(n_cores=n_cores)
+        benchmarks = ["gcc", "lbm", "gamess", "astar"][:n_cores]
+        n = 30_000
+    else:
+        # Short epochs so the epoch-driven windows (undo flushes, ACS
+        # passes) open several times within the run; the mid-ACS window
+        # also needs the fault harness's oversized LLC and a streaming
+        # write set that outlives the ACS gap.
+        overrides = dict(ACS_OVERRIDES)
+        if site != SITE_ACS_SCAN:
+            del overrides["llc_size_per_core"]
+        config = small_config(n_cores=n_cores, **overrides)
+        benchmarks = ["libquantum", "gcc"]
+        n = 90_000
+    sim = Simulation(config, scheme, benchmarks, n, seed=9, shared_memory=shared)
+    if site is None:
+        sim.run(crash_at_instructions=n_cores * n // 2)
+    else:
+        tear = 1 if site == SITE_UNDO_FLUSH else None
+        plan = CrashPlan.on_event(site, occurrence=5, tear_entries=tear)
+        sim.run(crash_plan=plan)
+        assert plan.fired and sim.crash_site == site
+    assert sim.crashed
     image, commit_id, reference = sim.crash_and_recover()
     assert reference is not None
     assert images_equal(image, reference)

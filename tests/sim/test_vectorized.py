@@ -26,6 +26,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.miss_engine import build_engine
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Simulation
 from repro.trace import profiles
@@ -151,30 +152,14 @@ class TestGate:
         sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
         assert sim.hierarchy._l1[0]._vec is None
 
-    def test_multi_core_mirrors_attached_by_default(self):
-        # The horizon-batched multi-core loop classifies each core's
-        # lookahead against its own private-L1 mirror.
-        config = dataclasses.replace(small_config(), n_cores=2)
-        sim = Simulation(config, "ideal", ["gcc", "mcf"], 1_000, seed=1)
-        assert all(l1._vec is not None for l1 in sim.hierarchy._l1)
-
-    def test_multi_core_sub_switch_restores_scalar(self, monkeypatch):
-        # REPRO_VECTOR_MC=0 pins the heap loop to the scalar body while
-        # leaving single-core rows columnar — the bisect switch for
-        # suspected multi-core interpreter bugs.
-        monkeypatch.setenv("REPRO_VECTOR_MC", "0")
+    def test_multi_core_stays_scalar(self):
+        # REPRO_VECTOR selects the columnar path for single-core runs
+        # only: multi-core systems always take the scalar heap loop, so
+        # no private L1 carries a mirror and the miss engine declines.
         config = dataclasses.replace(small_config(), n_cores=2)
         sim = Simulation(config, "ideal", ["gcc", "mcf"], 1_000, seed=1)
         assert all(l1._vec is None for l1 in sim.hierarchy._l1)
-        single = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
-        assert single.hierarchy._l1[0]._vec is not None
-
-    def test_multi_core_master_switch_wins(self, monkeypatch):
-        # REPRO_VECTOR=0 disables every interpreter, multi-core included.
-        monkeypatch.setenv("REPRO_VECTOR", "0")
-        config = dataclasses.replace(small_config(), n_cores=2)
-        sim = Simulation(config, "ideal", ["gcc", "mcf"], 1_000, seed=1)
-        assert all(l1._vec is None for l1 in sim.hierarchy._l1)
+        assert build_engine(sim) is None
 
 
 # Workload space for the fuzz: every axis the trace generator exposes,

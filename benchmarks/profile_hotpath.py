@@ -14,11 +14,13 @@ Usage (from the repo root)::
 
 ``--row`` profiles one of the named throughput rows (exact config the
 bench times, see perf_common.make_rows and make_columnar_rows);
-``--scheme/--bench/--scale`` builds an ad-hoc single-core (or, with
-``--cores``, multi-core mix) row. ``--vector on|off`` pins
+``--scheme/--bench/--scale`` builds an ad-hoc single-core row, or with
+``--cores`` above 1 a multi-core mix row, which always runs the
+turn-batched multi-core heap loop (``--vector`` has no effect there; the
+banner says ``multi-core heap loop``). ``--vector on|off`` pins
 ``REPRO_VECTOR`` so the columnar interpreter's hot path (``bulk_span``
 vs ``scalar_span`` vs ``L1TagMirror.sync`` time split) can be profiled
-against the scalar loop on the identical simulation. ``--miss``
+against the scalar loop on the identical single-core simulation. ``--miss``
 profiles *only* the residual-replay windows: the profiler is switched
 on around each batched miss-chain drain call and off everywhere else,
 so the report shows where miss-chain time goes without the bulk hit
@@ -95,14 +97,15 @@ def main(argv=None):
         os.environ["REPRO_VECTOR"] = "1"
         os.environ["REPRO_BATCH_MISS"] = "1"
     row = build_row(args)
+    if row[5]:
+        # Multi-core rows always run the one turn-batched heap loop;
+        # REPRO_VECTOR only selects between the single-core interpreters.
+        engine = "multi-core heap loop"
+    else:
+        engine = "REPRO_VECTOR=%s" % os.environ.get("REPRO_VECTOR", "1")
     print(
-        "profiling row %s (%d instructions, REPRO_VECTOR=%s%s)"
-        % (
-            row[0],
-            row[4],
-            os.environ.get("REPRO_VECTOR", "1"),
-            ", drain windows only" if args.miss else "",
-        )
+        "profiling row %s (%d instructions, %s%s)"
+        % (row[0], row[4], engine, ", drain windows only" if args.miss else "")
     )
     profiler = cProfile.Profile()
     if args.miss:

@@ -2,8 +2,11 @@
 
 Builds a system from a :class:`repro.sim.config.SystemConfig`, attaches a
 scheme, and drives one synthetic trace per core through it. Cores are
-interleaved by always advancing the one with the earliest clock, so shared
-resources (LLC, NVM channels) see a roughly time-ordered request stream.
+interleaved in turns by always advancing the one with the earliest
+``(cycle, core_id)`` heap key, so shared resources (LLC, NVM channels) see
+a roughly time-ordered request stream. Keys are not refreshed after a
+stop-the-world stall, so waiting cores are ordered by their pre-stall
+clocks (see :meth:`Simulation._run_multi_core`).
 
 Epoch boundaries fire when the system-wide instruction count crosses
 multiples of ``epoch_instructions * n_cores`` (for a single core this is
@@ -876,51 +879,142 @@ class Simulation:
         core.finished = True
 
     def _run_multi_core(self, crash_at_instructions):
-        """Interleave cores by always advancing the earliest clock."""
+        """Interleave cores in turns, always advancing the earliest clock.
+
+        The core with the smallest ``(cycle, core_id)`` key runs next; ties
+        break by core id. A *turn* keeps running one core while its key
+        stays below the heap top — exactly the references a push-then-pop
+        per reference would have handed straight back to it — and ends with
+        a single ``heapreplace`` that re-keys it and pops its successor. A
+        core whose trace runs out leaves with a plain ``heappop``.
+
+        Heap keys are deliberately *not* refreshed after a stop-the-world
+        stall (``broadcast_stall``): cores waiting in the heap keep their
+        pre-stall keys and are ordered against the stalling core's
+        post-stall clock, so the core that crossed an epoch boundary can be
+        deferred by up to one stall's worth of cycles. This is pinned
+        behaviour — refreshing the keys would move the fig10 bytes — and
+        tests/sim/test_multicore_loop.py holds it to the per-reference loop.
+
+        Within a turn the L1 read-hit path of ``access`` is inlined as in
+        :meth:`_run_single_core`; stores and L1 misses go through
+        :meth:`CacheHierarchy.access`. Before each such call the core's
+        clock and instruction count already include the reference's compute
+        gap and the system instruction count does not yet include the
+        reference; a ``CrashSignal`` raised inside the call leaves them so.
+        """
         system = self.system
-        hierarchy = self.hierarchy
         scheme = self.scheme
+        hierarchy = self.hierarchy
+        access = hierarchy.access
+        l1s = hierarchy._l1
+        l1_hits = hierarchy._l1_hits
+        loads = hierarchy._loads
         cores = self.cores
         epoch_span = self.config.epoch_instructions * self.config.n_cores
         next_epoch = epoch_span
+        crash = crash_at_instructions
+        boundary = next_epoch if crash is None else min(next_epoch, crash)
+        track = system.track_reference
+        arch_image = system.arch_image
+        total = system.total_instructions
+        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         cursors = [_TraceCursor(trace) for trace in self.traces]
         heap = [(0, core_id) for core_id in range(len(cores))]
         heapq.heapify(heap)
+        _cycle, core_id = heappop(heap)
 
-        while heap:
-            _cycle, core_id = heapq.heappop(heap)
-            cursor = cursors[core_id]
-            pos = cursor.pos
-            if pos >= cursor.n:
-                if not cursor.advance():
-                    cores[core_id].finished = True
-                    continue
-                pos = 0
-            gap = cursor.gaps[pos]
-            addr = cursor.addrs[pos]
-            is_write = cursor.writes[pos]
-            cursor.pos = pos + 1
+        while True:
+            # -- take a turn: bind the popped core's state to locals
             core = cores[core_id]
-            core.advance_compute(gap)
-            if is_write:
-                token = system.new_token()
-                wait = hierarchy.access(core_id, addr, True, token, core.cycle)
-                system.note_store(addr, token)
+            cursor = cursors[core_id]
+            gaps = cursor.gaps
+            addrs = cursor.addrs
+            writes = cursor.writes
+            pos = cursor.pos
+            n = cursor.n
+            l1 = l1s[core_id]
+            l1_tags = l1._tags
+            l1_sets = l1._sets
+            l1_shift = l1._line_shift
+            l1_mask = l1._set_mask
+            l1_latency = l1.hit_latency
+            if heap:
+                top_cycle, top_id = heap[0]
+                wins_tie = core_id < top_id
             else:
-                wait = hierarchy.access(core_id, addr, False, 0, core.cycle)
-            core.advance_memory(wait)
-            system.total_instructions += gap + 1
-            if system.total_instructions >= next_epoch:
-                stall = scheme.on_epoch_boundary(core.cycle)
-                system.broadcast_stall(stall)
-                next_epoch += epoch_span
-            if (
-                crash_at_instructions is not None
-                and system.total_instructions >= crash_at_instructions
-            ):
-                self.crashed = True
+                top_cycle = float("inf")
+                wins_tie = False
+            while True:
+                if pos >= n:
+                    if not cursor.advance():
+                        core.finished = True
+                        if not heap:
+                            system.total_instructions = total
+                            return
+                        _cycle, core_id = heappop(heap)
+                        break
+                    gaps = cursor.gaps
+                    addrs = cursor.addrs
+                    writes = cursor.writes
+                    pos = 0
+                    n = cursor.n
+                gap = gaps[pos]
+                addr = addrs[pos]
+                cycle = core.cycle + gap
+                if writes[pos]:
+                    core.cycle = cycle
+                    core.instructions += gap
+                    system.total_instructions = total
+                    token = system._next_token
+                    system._next_token = token + 1
+                    wait = access(core_id, addr, True, token, cycle)
+                    if track:
+                        arch_image[addr] = token
+                    core.instructions += 1
+                else:
+                    line = l1_tags.get(addr)
+                    if line is not None:
+                        cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
+                        if cache_set[0] is not line:
+                            cache_set.remove(line)
+                            cache_set.insert(0, line)
+                        l1_hits.value += 1
+                        loads.value += 1
+                        wait = l1_latency
+                        core.instructions += gap + 1
+                    else:
+                        core.cycle = cycle
+                        core.instructions += gap
+                        system.total_instructions = total
+                        wait = access(core_id, addr, False, 0, cycle)
+                        core.instructions += 1
+                pos += 1
+                cycle += wait
+                core.cycle = cycle
+                core.mem_stall_cycles += wait
+                total += gap + 1
+                if total >= boundary:
+                    system.total_instructions = total
+                    if total >= next_epoch:
+                        stall = scheme.on_epoch_boundary(cycle)
+                        system.broadcast_stall(stall)
+                        next_epoch += epoch_span
+                        cycle = core.cycle
+                    if crash is not None and total >= crash:
+                        self.crashed = True
+                        return
+                    boundary = next_epoch if crash is None else min(next_epoch, crash)
+                # -- stay in the turn while a push-then-pop would hand this
+                #    core straight back (the heap top is left stale on
+                #    purpose, see the docstring)
+                if cycle < top_cycle or (cycle == top_cycle and wins_tie):
+                    continue
+                # -- end the turn
+                cursor.pos = pos
+                _cycle, core_id = heapreplace(heap, (cycle, core_id))
                 break
-            heapq.heappush(heap, (core.cycle, core_id))
 
     def result(self):
         """Package the current counters into a SimulationResult."""

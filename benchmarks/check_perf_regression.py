@@ -3,17 +3,14 @@
 Runs the shared throughput rows (``perf_common.make_rows``), writes a
 fresh ``BENCH_scan.json``, and compares each row's refs/sec against the
 committed ``benchmarks/results/BENCH_scan.json``. It then runs the
-scalar-vs-columnar matrix (``perf_common.make_columnar_rows``,
-``REPRO_VECTOR=0`` vs ``=1`` interleaved), writes a fresh
-``BENCH_columnar.json``, and warns when a row's columnar *speedup*
-falls materially below the committed one — the interleaved ratio, not
-absolute refs/sec, is the only number comparable across machines.
-It runs the batched miss-chain matrix the same way
-(``perf_common.make_misschain_rows``, ``REPRO_BATCH_MISS=0`` vs ``=1``
-under the columnar interpreter) against ``BENCH_misschain.json``. All
-comparisons are per row, never only the aggregate: parity rows (gcc
-under the columnar check, hmmer under the miss-chain check) would
-otherwise mask a regression on the rows each engine exists for. After every matrix it
+batched miss-chain matrix (``perf_common.make_misschain_rows``,
+``REPRO_BATCH_MISS=0`` vs ``=1`` interleaved), writes a fresh
+``BENCH_misschain.json``, and warns when a row's *speedup* falls
+materially below the committed one — the interleaved ratio, not
+absolute refs/sec, is the only number comparable across machines. The
+comparison is per row, never only the aggregate: parity rows (hmmer)
+would otherwise mask a regression on the rows the engine exists for.
+After every matrix it
 rolls the ``overall`` block of each ``BENCH_*.json`` into one
 ``BENCH_summary.json``, so the uploaded artifact has a single
 diffable index of every protocol's headline numbers. A
@@ -50,9 +47,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 import perf_common  # noqa: E402
 
 RESULTS = os.path.join(os.path.dirname(__file__), "results", "BENCH_scan.json")
-COLUMNAR = os.path.join(
-    os.path.dirname(__file__), "results", "BENCH_columnar.json"
-)
 MISSCHAIN = os.path.join(
     os.path.dirname(__file__), "results", "BENCH_misschain.json"
 )
@@ -87,18 +81,6 @@ def main(argv=None):
     parser.add_argument(
         "--output", default=RESULTS,
         help="where to write this run's BENCH_scan.json",
-    )
-    parser.add_argument(
-        "--columnar-baseline", default=COLUMNAR,
-        help="committed BENCH_columnar.json to compare against",
-    )
-    parser.add_argument(
-        "--columnar-output", default=COLUMNAR,
-        help="where to write this run's BENCH_columnar.json",
-    )
-    parser.add_argument(
-        "--skip-columnar", action="store_true",
-        help="skip the REPRO_VECTOR matrix",
     )
     parser.add_argument(
         "--misschain-baseline", default=MISSCHAIN,
@@ -177,8 +159,6 @@ def main(argv=None):
     )
     print("wrote %s" % args.output)
 
-    if not args.skip_columnar:
-        regressions += check_columnar(args)
     if not args.skip_misschain:
         regressions += check_misschain(args)
     if not args.skip_distributed:
@@ -195,89 +175,12 @@ def main(argv=None):
     return 0
 
 
-def check_columnar(args):
-    """Run the REPRO_VECTOR matrix and compare speedups, warn-only.
-
-    Speedup (scalar time / columnar time, interleaved on this machine)
-    is compared instead of refs/sec: it cancels the runner's absolute
-    speed, so it is the one columnar number a heterogeneous CI fleet
-    can meaningfully hold against a committed baseline.
-    """
-    baseline = None
-    if os.path.exists(args.columnar_baseline):
-        baseline = perf_common.load_bench_json(args.columnar_baseline)
-        if baseline.get("protocol") != perf_common.COLUMNAR_PROTOCOL:
-            print(
-                "columnar baseline protocol %r != %r; skipping comparison"
-                % (baseline.get("protocol"), perf_common.COLUMNAR_PROTOCOL)
-            )
-            baseline = None
-    else:
-        print(
-            "no committed baseline at %s; recording only"
-            % args.columnar_baseline
-        )
-
-    passes = max(2, args.passes)  # a ratio from single passes is all noise
-    measurements, overall = perf_common.measure_columnar(passes=passes)
-    print("%-14s %12s %12s %9s %12s" % (
-        "row", "scalar r/s", "columnar r/s", "speedup", "vs-baseline"))
-    regressions = 0
-    for m in measurements:
-        ratio = ""
-        if baseline is not None:
-            base = baseline["rows"].get(m["label"], {}).get("speedup")
-            if base:
-                ratio = "%.2fx" % (m["speedup"] / base)
-                if m["speedup"] < base * (1.0 - args.threshold):
-                    regressions += 1
-                    warn(
-                        "%s: columnar speedup %.2fx vs baseline %.2fx "
-                        "(%.0f%% drop)"
-                        % (
-                            m["label"],
-                            m["speedup"],
-                            base,
-                            100.0 * (1.0 - m["speedup"] / base),
-                        )
-                    )
-        print(
-            "%-14s %12.0f %12.0f %8.2fx %12s"
-            % (
-                m["label"],
-                m["scalar_refs_per_sec"],
-                m["columnar_refs_per_sec"],
-                m["speedup"],
-                ratio,
-            )
-        )
-    print("%-14s %12.0f %12.0f %8.2fx" % (
-        "overall",
-        overall["scalar_refs_per_sec"],
-        overall["columnar_refs_per_sec"],
-        overall["speedup"],
-    ))
-
-    perf_common.write_bench_json(
-        args.columnar_output,
-        perf_common.columnar_payload(
-            measurements,
-            overall,
-            note="%s; check_perf_regression passes=%d"
-            % (perf_common.COLUMNAR_PROTOCOL, passes),
-        ),
-    )
-    print("wrote %s" % args.columnar_output)
-    return regressions
-
-
 def check_misschain(args):
     """Run the REPRO_BATCH_MISS matrix and compare speedups, warn-only.
 
-    Per-row speedups, like :func:`check_columnar` — the overall
-    aggregate alone would let the hit-dominated hmmer rows (engine ~1.0x
-    by design) mask a collapse on the gcc rows the engine exists for,
-    exactly the masking failure the per-row columnar check closed.
+    Per-row speedups: the overall aggregate alone would let the
+    hit-dominated hmmer rows mask a collapse on the gcc rows the engine
+    exists for.
     """
     baseline = None
     if os.path.exists(args.misschain_baseline):

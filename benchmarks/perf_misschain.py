@@ -1,9 +1,10 @@
 """Measure the batched miss-chain engine and write BENCH_misschain.json.
 
 Runs the misschain matrix (``perf_common.make_misschain_rows``, gcc
-rows first) with ``REPRO_BATCH_MISS=0`` and ``=1`` strictly interleaved
-— both sides under the columnar interpreter — keeping the fastest pass
-per mode, and writes ``benchmarks/results/BENCH_misschain.json``.
+rows first) with ``REPRO_BATCH_MISS=0`` (the single-core loop's
+per-reference body) and ``=1`` (the per-segment drain) strictly
+interleaved, keeping the fastest pass per mode, and writes
+``benchmarks/results/BENCH_misschain.json``.
 
 The committed JSON is the PR-acceptance artifact for the engine: the
 gcc rows must show >=1.5x and the overall aggregate >=1.3x. ``--check``

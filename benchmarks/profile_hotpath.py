@@ -10,22 +10,20 @@ Usage (from the repo root)::
         --scheme picl --bench lbm --scale 128
     PYTHONPATH=src python benchmarks/profile_hotpath.py --row picl/W2/acs
     PYTHONPATH=src python benchmarks/profile_hotpath.py \
-        --row picl/hmmer --vector on --sort tottime
+        --row picl/hmmer --miss --sort tottime
 
 ``--row`` profiles one of the named throughput rows (exact config the
-bench times, see perf_common.make_rows and make_columnar_rows);
+bench times, see perf_common.make_rows and make_misschain_rows);
 ``--scheme/--bench/--scale`` builds an ad-hoc single-core row, or with
 ``--cores`` above 1 a multi-core mix row, which always runs the
-turn-batched multi-core heap loop (``--vector`` has no effect there; the
-banner says ``multi-core heap loop``). ``--vector on|off`` pins
-``REPRO_VECTOR`` so the columnar interpreter's hot path (``bulk_span``
-vs ``scalar_span`` vs ``L1TagMirror.sync`` time split) can be profiled
-against the scalar loop on the identical single-core simulation. ``--miss``
-profiles *only* the residual-replay windows: the profiler is switched
-on around each batched miss-chain drain call and off everywhere else,
-so the report shows where miss-chain time goes without the bulk hit
-path drowning it out — and prints the drain's share of the wall clock,
-the number the docs' Amdahl breakdown quotes. Sorting/limits mirror
+turn-batched multi-core heap loop (the banner says ``multi-core heap
+loop``). Single-core rows run the single-core loop under the inherited
+``REPRO_BATCH_MISS`` (the banner names it). ``--miss`` profiles *only*
+the drain calls: the profiler is switched on around each batched
+miss-chain drain call (one per epoch segment) and off everywhere else,
+so the report shows where miss-chain time goes without epoch-boundary
+and trace work around it — and prints the drain's share of the wall
+clock. Sorting/limits mirror
 ``python -m repro <fig> --profile`` but this runs one row in-process,
 no experiment plumbing around it.
 """
@@ -46,7 +44,7 @@ from repro.sim.config import SystemConfig  # noqa: E402
 
 def build_row(args):
     if args.row is not None:
-        rows = perf_common.make_rows() + perf_common.make_columnar_rows()
+        rows = perf_common.make_rows() + perf_common.make_misschain_rows()
         for row in rows:
             if row[0] == args.row:
                 return row
@@ -72,40 +70,27 @@ def main(argv=None):
     )
     parser.add_argument("--limit", type=int, default=30, help="rows to print")
     parser.add_argument(
-        "--vector", choices=("on", "off"),
-        help="pin REPRO_VECTOR for the profiled run (default: inherit the "
-        "environment, i.e. the columnar interpreter on single-core rows)",
-    )
-    parser.add_argument(
         "--miss", action="store_true",
-        help="profile only residual-replay windows: enable the profiler "
-        "inside batched miss-chain drain calls and nowhere else (pins "
-        "REPRO_VECTOR=1 and REPRO_BATCH_MISS=1)",
+        help="profile only the drain: enable the profiler inside batched "
+        "miss-chain drain calls and nowhere else (pins REPRO_BATCH_MISS=1)",
     )
     args = parser.parse_args(argv)
 
     # Profile real simulation work, not result-cache reads.
     os.environ.setdefault("REPRO_NO_CACHE", "1")
-    if args.vector is not None:
-        os.environ["REPRO_VECTOR"] = "1" if args.vector == "on" else "0"
     if args.miss:
-        if args.vector == "off":
-            raise SystemExit("--miss needs the columnar interpreter "
-                             "(drop --vector off)")
-        # The drain only exists inside the columnar interpreter with the
-        # batched engine attached.
-        os.environ["REPRO_VECTOR"] = "1"
         os.environ["REPRO_BATCH_MISS"] = "1"
     row = build_row(args)
     if row[5]:
-        # Multi-core rows always run the one turn-batched heap loop;
-        # REPRO_VECTOR only selects between the single-core interpreters.
+        # Multi-core rows always run the one turn-batched heap loop.
         engine = "multi-core heap loop"
     else:
-        engine = "REPRO_VECTOR=%s" % os.environ.get("REPRO_VECTOR", "1")
+        engine = "single-core loop, REPRO_BATCH_MISS=%s" % os.environ.get(
+            "REPRO_BATCH_MISS", "1"
+        )
     print(
         "profiling row %s (%d instructions, %s%s)"
-        % (row[0], row[4], engine, ", drain windows only" if args.miss else "")
+        % (row[0], row[4], engine, ", drain calls only" if args.miss else "")
     )
     profiler = cProfile.Profile()
     if args.miss:
@@ -115,12 +100,12 @@ def main(argv=None):
         )
         if drain_stats["calls"] == 0:
             raise SystemExit(
-                "no drain windows ran — the engine declined this row "
-                "(banked NVM or multi-channel configs fall back to the "
-                "scalar chain)"
+                "no drain calls ran — the engine declined this row "
+                "(multi-core, banked NVM or multi-channel configs fall back "
+                "to the scalar loop)"
             )
         print(
-            "drain: %d window calls, %.2fs in-drain (%.0f%% of wall)"
+            "drain: %d segment calls, %.2fs in-drain (%.0f%% of wall)"
             % (
                 drain_stats["calls"],
                 drain_stats["seconds"],
@@ -141,11 +126,11 @@ def main(argv=None):
 def profile_miss_windows(profiler, row):
     """Run ``row`` with the profiler live only inside drain calls.
 
-    Wraps ``MissChainEngine.make_drain`` so every drain the interpreter
-    builds is bracketed by ``profiler.enable()``/``disable()``; the bulk
-    hit path, window classification, and trace generation all run
-    unprofiled. Returns (refs, wall seconds, {calls, seconds}) where
-    ``seconds`` is wall time spent inside drain windows.
+    Wraps ``MissChainEngine.make_drain`` so every drain the single-core
+    loop builds is bracketed by ``profiler.enable()``/``disable()``;
+    epoch boundaries and trace generation run unprofiled. Returns
+    (refs, wall seconds, {calls, seconds}) where ``seconds`` is wall
+    time spent inside drain calls.
     """
     from repro.cache.miss_engine import MissChainEngine
 

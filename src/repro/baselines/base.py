@@ -76,34 +76,22 @@ class CrashConsistencyScheme:
         return None
 
     def vector_store_filter(self):
-        """Which L1 store hits the columnar interpreter may bulk-apply.
+        """The miss-chain drain's store dispatch for one epoch segment.
 
-        The columnar loop (Simulation._run_single_core under
-        ``REPRO_VECTOR``) classifies a whole epoch segment at once and
-        wants to apply store hits in bulk — but only stores whose
-        ``on_store`` call would provably be a no-op (return 0, change no
-        scheme state beyond what :meth:`on_store_bulk` accounts for).
-
-        Returns ``True`` (every store hit is scheme-silent), ``False``
-        (no store hit may be bulk-applied; all stores go through the
-        exact path), or an int EID (a store hit is silent exactly when
-        the line's EID equals that value — PiCL's cheap same-epoch
-        branch). Re-evaluated at the start of every epoch segment, never
-        cached across boundaries. The default mirrors
-        :meth:`on_store_repeat`: silent iff ``on_store`` is the
+        The single-core loop hands each epoch segment to the drain
+        (:mod:`repro.cache.miss_engine`) with this value, which fixes how
+        the drain treats the segment's stores. ``True``: every store is
+        scheme-silent (``on_store`` would return 0 and change no state),
+        so the drain skips the call. ``False``: the drain calls
+        :meth:`on_store` at the exact scalar call site for every store.
+        An int EID: PiCL's plain mode, whose :meth:`on_store` body the
+        drain transcribes inline (a store to a line tagged with that EID
+        takes the cheap same-epoch branch). Re-evaluated at the start of
+        every epoch segment, never cached across boundaries. The default
+        mirrors :meth:`on_store_repeat`: silent iff ``on_store`` is the
         inherited no-op.
         """
         return type(self).on_store is CrashConsistencyScheme.on_store
-
-    def on_store_bulk(self, count):
-        """Aggregate bookkeeping for ``count`` bulk-applied store hits.
-
-        Called once per bulk stretch with the number of stores the
-        columnar path applied without invoking :meth:`on_store`. Must
-        reproduce exactly the state ``count`` silent ``on_store`` calls
-        would have left (PiCL advances its store sequence). Default: the
-        inherited no-op ``on_store`` keeps no state, so nothing to do.
-        """
 
     def miss_engine_profile(self):
         """Which scheme callbacks the batched miss-chain engine may inline.

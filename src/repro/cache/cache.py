@@ -64,10 +64,6 @@ class SetAssocCache:
         #: Optional EID-array analogue (the hierarchy attaches one to the
         #: LLC); None for private caches, which only need dirty tracking.
         self.eid_index = None
-        #: Optional numpy tag/EID mirror for the columnar interpreter (the
-        #: hierarchy attaches one to the single core's L1 under
-        #: ``REPRO_VECTOR``); every residency change must keep it coherent.
-        self._vec = None
         #: Differential escape hatch: recompute dirty_lines() by the
         #: original full sweep so tests can diff the indexed paths.
         self._brute_scan = os.environ.get("REPRO_BRUTE_SCAN", "") == "1"
@@ -149,11 +145,6 @@ class SetAssocCache:
             ):
                 index.discard(victim)
             self._evictions.value += 1
-        if self._vec is not None:
-            self._vec.pending.append(line)
-            if victim is not None:
-                self._vec.removed.append(victim.addr)
-                self._vec.evictq.append(victim)
         return victim
 
     def remove(self, line_addr):
@@ -166,9 +157,6 @@ class SetAssocCache:
         line._home = None
         if line._dirty:
             del self._dirty_lines[line_addr]
-        if self._vec is not None:
-            self._vec.removed.append(line_addr)
-            self._vec.evictq.append(line)
         index = self.eid_index
         if index is not None and (line.eid >= 0 or line.sub_eids is not None):
             index.discard(line)
@@ -178,13 +166,10 @@ class SetAssocCache:
         """Drop every line (models power loss: SRAM contents vanish)."""
         for line in self._tags.values():
             line._home = None
-            line._vslot = -1
         for cache_set in self._sets:
             cache_set.clear()
         self._tags.clear()
         self._dirty_lines.clear()
-        if self._vec is not None:
-            self._vec.clear()
         if self.eid_index is not None:
             self.eid_index.clear()
 

@@ -23,14 +23,11 @@ store-buffer", so stores are charged a configurable fraction of their miss
 latency.
 """
 
-import os
-
 from repro.common.errors import SimulationError
 from repro.common.stats import StatCounters
 from repro.cache.cache import SetAssocCache
 from repro.cache.eid_index import EidIndex
 from repro.cache.line import CacheLine, LineState
-from repro.cache.vector_mirror import L1TagMirror
 
 
 class EvictionSink:
@@ -65,22 +62,18 @@ class EvictionSink:
         return 0
 
     def vector_store_filter(self):
-        """Which L1 store hits the columnar interpreter may bulk-apply.
+        """How the miss-chain drain dispatches this segment's stores.
 
-        Returns ``True`` (every store hit is scheme-silent — this sink's
-        ``on_store`` is a pure no-op), ``False`` (no store may leave the
-        exact path), or an EID: a store hit is scheme-silent exactly when
-        the line's mirrored EID equals it (PiCL's same-epoch stores).
-        Re-evaluated per epoch segment, never cached across boundaries.
+        The single-core loop asks once per epoch segment and hands the
+        answer to the drain (:mod:`repro.cache.miss_engine`) for the whole
+        segment. ``True``: every store is scheme-silent (this sink's
+        ``on_store`` is a pure no-op), so the drain skips the call.
+        ``False``: the drain calls ``on_store`` for every store. An EID:
+        PiCL's plain mode, whose store body the drain runs inline (a store
+        to a line tagged with that EID is same-epoch and silent).
+        Re-evaluated per segment, never cached across boundaries.
         """
         return True
-
-    def on_store_bulk(self, count):
-        """Aggregate bookkeeping for ``count`` stores the columnar path
-        bulk-applied after :meth:`vector_store_filter` classified each of
-        them scheme-silent. Must be exactly what ``count`` consecutive
-        ``on_store`` calls would have done to scheme state (for this sink:
-        nothing)."""
 
 
 class CacheHierarchy:
@@ -128,15 +121,6 @@ class CacheHierarchy:
         # private caches only need dirty-line tracking. Attached here, not in
         # SetAssocCache, because only the shared level is ever ACS-scanned.
         self.llc.eid_index = EidIndex()
-        # The single-core columnar interpreter classifies whole epoch
-        # segments against a numpy mirror of the core's L1 tags/EIDs (see
-        # repro.cache.vector_mirror). REPRO_VECTOR=0 leaves it detached
-        # and restores the scalar loop; multi-core systems never attach it.
-        if n_cores == 1 and os.environ.get("REPRO_VECTOR", "1") != "0":
-            l1 = self._l1[0]
-            l1._vec = L1TagMirror(
-                l1.n_sets, l1.assoc, l1._line_shift, l1._set_mask
-            )
         self.sink = EvictionSink(controller)
         #: Mirrors SetAssocCache._brute_scan: run the original full-sweep
         #: sync paths as a differential oracle (REPRO_BRUTE_SCAN=1).
@@ -196,11 +180,6 @@ class CacheHierarchy:
             if home is not None:
                 home._dirty_lines[line_addr] = line
         line.state = LineState.MODIFIED
-        vec = l1._vec
-        if vec is not None:
-            # The scheme's on_store may have retagged the line (PiCL's
-            # cross-epoch store); queue the EID refresh for the next sync.
-            vec.eidq.append(line)
         self._stores.value += 1
         return wait
 
@@ -274,18 +253,10 @@ class CacheHierarchy:
         line._home = l1
         if line._dirty:
             l1._dirty_lines[line_addr] = line
-        vec = l1._vec
-        if vec is not None:
-            vec.pending.append(line)
         if len(cache_set) > l1.assoc:
             victim = cache_set.pop()
             del l1._tags[victim.addr]
             victim._home = None
-            if vec is not None:
-                # The eager removed log guards in-flight windows; the slot
-                # queue is drained at the next sync.
-                vec.removed.append(victim.addr)
-                vec.evictq.append(victim)
             l1._evictions.value += 1
             if victim._dirty:
                 del l1._dirty_lines[victim.addr]
@@ -449,9 +420,6 @@ class CacheHierarchy:
             l1_copy._home = None
             if l1_copy._dirty:
                 del l1._dirty_lines[addr]
-            if l1._vec is not None:
-                l1._vec.removed.append(addr)
-                l1._vec.evictq.append(l1_copy)
         l2 = self._l2[owner]
         l2_copy = l2._tags.pop(addr, None)
         if l2_copy is not None:
@@ -479,9 +447,6 @@ class CacheHierarchy:
         """
         copy.token = llc_line.token
         copy.eid = llc_line.eid
-        home = copy._home
-        if home is not None and home._vec is not None:
-            home._vec.eidq.append(copy)
         if llc_line.sub_eids is not None:
             copy.sub_eids = list(llc_line.sub_eids)
         copy.dirty = False

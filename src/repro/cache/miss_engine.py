@@ -1,15 +1,15 @@
 """Batched miss-chain engine: the L2/LLC/NVM slow path as one fused loop.
 
-The columnar interpreter (PR 6) made classified L1 hits nearly free, which
-left miss-heavy rows at parity: every residual reference replays through
-``CacheHierarchy.access`` — a chain of six-plus Python calls per miss
-(``access`` → ``_fill_to_l1`` → ``_fill_to_l2`` → ``_insert_llc`` →
-``demand_fill``/``write_back`` → channel arithmetic), each re-resolving
-attributes the previous frame already held. Profiling a gcc row shows the
-per-call overhead of exactly this chain dominating end-to-end time.
+In the single-core loop's per-reference body every store and every L1
+miss goes through ``CacheHierarchy.access`` — a chain of six-plus Python
+calls per miss (``access`` → ``_fill_to_l1`` → ``_fill_to_l2`` →
+``_insert_llc`` → ``demand_fill``/``write_back`` → channel arithmetic),
+each re-resolving attributes the previous frame already held. Profiling a
+gcc row shows the per-call overhead of exactly this chain dominating
+end-to-end time.
 
 This module replaces that chain with a **drain**: a single closure that
-processes a span of residual references with the entire miss chain
+processes a whole epoch segment of references with the entire miss chain
 transcribed inline — L1/L2/LLC probes, victim selection in eviction
 order, NVM channel recurrences as local-integer arithmetic, the scheme's
 store/write-back callbacks either transcribed (when provably the known
@@ -28,7 +28,7 @@ bookkeeping*:
 
 **Bit-identity argument.** The drain visits references in exactly the
 scalar order and mutates all *shared* structures (tag dicts, LRU lists,
-dirty dicts, EID index, mirror queues, NVM image, undo log) at exactly
+dirty dicts, EID index, NVM image, undo log) at exactly
 the scalar program points. Deferral is restricted to state nothing reads
 mid-drain, and every deferral is forced down before any point that could
 observe it:
@@ -53,8 +53,8 @@ observe it:
 falls back to the scalar path, bit-identically):
 
 * ``REPRO_BATCH_MISS`` not ``0`` (the escape hatch);
-* a single core with the columnar L1 mirror attached (the engine binds
-  that core's private L1/L2 and mirror; no other core can own a line);
+* a single core (the engine binds that core's private L1/L2; no other
+  core can own a line);
 * no DRAM cache in front of NVM, plain single-channel ``NvmDevice``
   (the banked/open-page device has per-bank state the inline recurrence
   does not model);
@@ -92,7 +92,7 @@ def build_engine(sim):
     if os.environ.get("REPRO_BATCH_MISS", "1") == "0":
         return None
     hierarchy = sim.hierarchy
-    if hierarchy.n_cores != 1 or hierarchy._l1[0]._vec is None:
+    if hierarchy.n_cores != 1:
         return None
     if hierarchy.sink is not sim.scheme:
         return None
@@ -122,7 +122,6 @@ class MissChainEngine:
         self.l1 = hierarchy._l1[0]
         self.l2 = hierarchy._l2[0]
         self.llc = hierarchy.llc
-        self.vec = self.l1._vec
 
         sink = hierarchy.sink
         wb = type(sink).write_back
@@ -144,11 +143,12 @@ class MissChainEngine:
     def make_drain(self, gaps, addrs, writes, cum, run_ends, wcum):
         """Build the fused drain for one trace chunk.
 
-        Returns ``drain(i, stop, seg_end, sfilter) -> new i`` with the
-        same contract as the interpreter's ``scalar_span``: processes
-        references in ``[i, stop)`` exactly, may advance past ``stop``
-        (never ``seg_end``) through run-coalescing tails. ``sfilter`` is
-        the segment's ``vector_store_filter()`` value and fixes the store
+        Returns ``drain(i, stop, seg_end, sfilter) -> new i``: processes
+        references in ``[i, stop)`` exactly as the single-core loop's
+        per-reference body would, and may advance past ``stop`` (never
+        ``seg_end``) through run-coalescing tails. The loop calls it once
+        per epoch segment with ``stop == seg_end``. ``sfilter`` is the
+        segment's ``vector_store_filter()`` value and fixes the store
         dispatch for the whole call (the SystemEID only moves at segment
         boundaries).
         """
@@ -158,7 +158,6 @@ class MissChainEngine:
         controller = self.controller
         device = self.device
         l1, l2, llc = self.l1, self.l2, self.llc
-        vec = self.vec
         buffer = self.buffer
         bloom = buffer.bloom if buffer is not None else None
         channel = device._only_channel
@@ -168,8 +167,8 @@ class MissChainEngine:
             stop,
             seg_end,
             sfilter,
-            # Default-arg binding, like the interpreter's scalar_span: the
-            # body runs per reference and locals beat closure derefs.
+            # Default-arg binding: the body runs per reference and locals
+            # beat closure derefs.
             gaps=gaps,
             addrs=addrs,
             writes=writes,
@@ -191,10 +190,6 @@ class MissChainEngine:
             l1_mask=l1._set_mask,
             l1_assoc=l1.assoc,
             l1_latency=l1.hit_latency,
-            vec_pending=vec.pending,
-            vec_evictq=vec.evictq,
-            vec_eidq=vec.eidq,
-            vec_removed=vec.removed,
             # L2
             l2=l2,
             l2_tags=l2._tags,
@@ -408,7 +403,6 @@ class MissChainEngine:
                                 llc_line.owner = None
                                 llc_line.sub_eids = None
                                 llc_line._home = None
-                                llc_line._vslot = -1
                                 # ==== _insert_llc, transcribed ====
                                 cache_set = llc_sets[
                                     (addr >> llc_shift) & llc_mask
@@ -448,8 +442,6 @@ class MissChainEngine:
                                             l1_copy._home = None
                                             if l1_copy._dirty:
                                                 del l1_dirty[vaddr]
-                                            vec_removed.append(vaddr)
-                                            vec_evictq.append(l1_copy)
                                         l2_copy = l2_tags.pop(vaddr, None)
                                         if l2_copy is not None:
                                             l2_sets[
@@ -616,7 +608,6 @@ class MissChainEngine:
                                 list(sub) if sub is not None else None
                             )
                             source._home = None
-                            source._vslot = -1
                             cache_set = l2_sets[(addr >> l2_shift) & l2_mask]
                             cache_set.insert(0, source)
                             l2_tags[addr] = source
@@ -631,7 +622,7 @@ class MissChainEngine:
                                     del l2_dirty[vaddr]
                                 d_l2_ev += 1
                                 # l1.remove(vaddr), inline (L1 has no EID
-                                # index; the mirror queues are eager).
+                                # index).
                                 dropped = l1_tags.pop(vaddr, None)
                                 if dropped is not None:
                                     l1_sets[
@@ -640,8 +631,6 @@ class MissChainEngine:
                                     dropped._home = None
                                     if dropped._dirty:
                                         del l1_dirty[vaddr]
-                                    vec_removed.append(vaddr)
-                                    vec_evictq.append(dropped)
                                 if dropped is not None and dropped._dirty:
                                     # _merge_lines inline: the L2 victim is
                                     # detached (_home None) — only the data
@@ -695,20 +684,16 @@ class MissChainEngine:
                         sub = source.sub_eids
                         line.sub_eids = list(sub) if sub is not None else None
                         line._home = None
-                        line._vslot = -1
                         cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
                         cache_set.insert(0, line)
                         l1_tags[addr] = line
                         line._home = l1
                         # (copy_fill lines are clean: no dirty insert)
-                        vec_pending.append(line)
                         if len(cache_set) > l1_assoc:
                             victim = cache_set.pop()
                             vaddr = victim.addr
                             del l1_tags[vaddr]
                             victim._home = None
-                            vec_removed.append(vaddr)
-                            vec_evictq.append(victim)
                             d_l1_ev += 1
                             if victim._dirty:
                                 del l1_dirty[vaddr]
@@ -836,7 +821,6 @@ class MissChainEngine:
                             line._dirty = True
                             l1_dirty[addr] = line
                         line.state = modified
-                        vec_eidq.append(line)
                         d_stores += 1
                         if track:
                             arch_image[addr] = token

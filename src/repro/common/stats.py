@@ -24,15 +24,6 @@ class Slot:
     def __init__(self, value=0):
         self.value = value
 
-    def bump(self, amount):
-        """Bulk increment: the columnar interpreter applies a whole
-        stretch of classified L1 hits as one reduction instead of one
-        ``slot.value += 1`` per reference. ``amount`` may be a numpy
-        integer; coerce so snapshots stay plain ints (exact equality
-        against the scalar interpreter's counters).
-        """
-        self.value += int(amount)
-
     def __repr__(self):
         return "Slot(%r)" % (self.value,)
 

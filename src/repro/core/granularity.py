@@ -45,8 +45,6 @@ class GranularityPolicy:
             home = line._home
             if home is not None and home.eid_index is not None:
                 home.eid_index.retag(line, old)
-                if home._vec is not None:
-                    home._vec.eidq.append(line)
 
 
 class SubBlockPolicy(GranularityPolicy):

@@ -175,21 +175,19 @@ class PiclScheme(CrashConsistencyScheme):
         return 0
 
     def vector_store_filter(self):
-        """Columnar store filter: same-epoch store hits are the cheap branch.
+        """Drain store dispatch: the executing EID in plain mode.
 
-        With line-granularity tracking and no hard log cap, a store to an
-        L1 line already tagged with the executing epoch takes the cheap
-        branch of :meth:`on_store` — only ``_store_seq`` advances, which
-        :meth:`on_store_bulk` reproduces. Any other configuration (log
-        cap, sub-block tracking) makes every store potentially visible,
-        so the columnar path must replay them all exactly.
+        With line-granularity tracking and no hard log cap, the drain runs
+        :meth:`on_store` inline: a store to a line already tagged with the
+        returned EID takes the cheap branch (only ``_store_seq``
+        advances), any other store appends its undo entry with deferred
+        buffer batching. Any other configuration (log cap, sub-block
+        tracking) returns False, so the drain calls :meth:`on_store` for
+        every store.
         """
         if self._plain_stores:
             return self.epochs.system_eid
         return False
-
-    def on_store_bulk(self, count):
-        self._store_seq += count
 
     def miss_engine_profile(self):
         """PiCL opts the miss-chain engine into its inline fast paths.

@@ -167,8 +167,8 @@ class ServiceClient:
 
         ``env`` overrides the engine-flag capture shipped with the batch;
         by default the *client's* live environment is captured
-        (:func:`repro.sim.parallel.engine_env`), so ``REPRO_VECTOR`` /
-        ``REPRO_BATCH_MISS`` / ``REPRO_BRUTE_SCAN`` pinned at the client
+        (:func:`repro.sim.parallel.engine_env`), so ``REPRO_BATCH_MISS`` /
+        ``REPRO_BRUTE_SCAN`` pinned at the client
         govern the daemon's workers for exactly this batch.
         """
         points = list(points)

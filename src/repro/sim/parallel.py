@@ -85,18 +85,17 @@ MAX_BACKOFF = 30.0
 #: disables deadlines everywhere, safety net included.
 ISOLATED_FALLBACK_TIMEOUT = 3600.0
 
-#: Engine escape hatches. These select *how* a point executes — columnar
-#: interpreter, batched miss-chain engine, EID-indexed scan — never what
-#: it computes: every mode is bit-identical by construction (the
-#: differential suites in tests/sim enforce it). They are read from the
-#: process environment when a Simulation builds its hierarchy, so a
+#: Engine escape hatches. These select *how* a point executes — batched
+#: miss-chain engine, EID-indexed scan — never what it computes: every
+#: mode is bit-identical by construction (the differential suites in
+#: tests/sim enforce it). They are read from the process environment
+#: when a Simulation builds its caches and runs, so a
 #: worker process must see the *submitting* client's values, not
 #: whatever environment the executing daemon happened to start with —
 #: otherwise pinning ``REPRO_BATCH_MISS=0`` to bisect a suspected engine
 #: bug would silently stop meaning anything the moment the sweep runs on
 #: the service.
 ENGINE_FLAGS = (
-    "REPRO_VECTOR",
     "REPRO_BATCH_MISS",
     "REPRO_BRUTE_SCAN",
 )

@@ -64,15 +64,6 @@ def _run_ends_array(addrs):
     return np.minimum.accumulate(ends[::-1])[::-1]
 
 
-def _run_cum_array(addrs):
-    """Inclusive cumulative count of same-line run starts (numpy)."""
-    n = len(addrs)
-    starts = np.ones(n, dtype=np.int64)
-    if n > 1:
-        starts[1:] = addrs[1:] != addrs[:-1]
-    return np.cumsum(starts)
-
-
 class TraceChunk:
     """One generated batch of references, as parallel Python lists."""
 
@@ -83,16 +74,11 @@ class TraceChunk:
         "instructions",
         "cum_instructions",
         "run_ends",
-        "run_cum",
         "write_cum",
         "_meta_arrays",
-        "np_addrs",
-        "np_writes",
     )
 
-    def __init__(
-        self, gaps, addrs, writes, instructions, meta_arrays=None, arrays=None
-    ):
+    def __init__(self, gaps, addrs, writes, instructions, meta_arrays=None):
         self.gaps = gaps
         self.addrs = addrs
         self.writes = writes
@@ -101,34 +87,15 @@ class TraceChunk:
         self.cum_instructions = None
         #: Per-index end (exclusive) of the same-line run starting there (lazy).
         self.run_ends = None
-        #: Inclusive cumulative count of same-line run starts (lazy); the
-        #: columnar interpreter's cost model is *coalescing groups*, not
-        #: references, so it sizes bulk work by run count in O(1).
-        self.run_cum = None
         #: Inclusive cumulative store count per reference (lazy).
         self.write_cum = None
-        #: Precomputed (cum, run_ends, run_cum, write_cum) numpy arrays
+        #: Precomputed (cum, run_ends, write_cum) numpy arrays
         #: from the memo's frozen storage; ensure_metadata converts
         #: instead of recomputing (None for freshly generated chunks).
         self._meta_arrays = meta_arrays
-        #: Numpy views of addrs/writes for the columnar interpreter;
-        #: delivered by the generator/memo when it has them, otherwise
-        #: built on demand by ensure_arrays.
-        if arrays is not None:
-            self.np_addrs, self.np_writes = arrays
-        else:
-            self.np_addrs = None
-            self.np_writes = None
 
     def __len__(self):
         return len(self.gaps)
-
-    def ensure_arrays(self):
-        """Numpy addrs/writes for array-at-a-time classification (idempotent)."""
-        if self.np_addrs is None:
-            self.np_addrs = np.asarray(self.addrs, dtype=np.int64)
-            self.np_writes = np.asarray(self.writes, dtype=bool)
-        return self
 
     def ensure_metadata(self):
         """Compute the batch-interpreter metadata once (idempotent).
@@ -137,9 +104,7 @@ class TraceChunk:
         after reference ``i`` retires (``sum(gaps[:i+1]) + i + 1``), used
         to segment the chunk at epoch/crash boundaries. ``run_ends[i]`` is
         the exclusive end of the longest stretch ``i..run_ends[i]-1`` of
-        references to one line address; ``run_cum[i]`` counts same-line
-        run starts in ``0..i`` so a stretch's coalescing-group count is
-        O(1); ``write_cum[i]`` counts stores in ``0..i`` so a run tail's
+        references to one line address; ``write_cum[i]`` counts stores in ``0..i`` so a run tail's
         load/store split is O(1). Memoized chunks carry the arrays
         precomputed (see :class:`_FrozenChunk`) and only pay the list
         conversion here.
@@ -147,10 +112,9 @@ class TraceChunk:
         if self.cum_instructions is not None:
             return self
         if self._meta_arrays is not None:
-            cum, run_ends, run_cum, write_cum = self._meta_arrays
+            cum, run_ends, write_cum = self._meta_arrays
             self.cum_instructions = cum.tolist()
             self.run_ends = run_ends.tolist()
-            self.run_cum = run_cum.tolist()
             self.write_cum = write_cum.tolist()
             return self
         gaps = np.asarray(self.gaps, dtype=np.int64)
@@ -159,7 +123,6 @@ class TraceChunk:
         self.write_cum = np.cumsum(writes).tolist()
         addrs = np.asarray(self.addrs, dtype=np.int64)
         self.run_ends = _run_ends_array(addrs).tolist()
-        self.run_cum = _run_cum_array(addrs).tolist()
         return self
 
 
@@ -213,7 +176,6 @@ class SyntheticTrace:
                 addrs.tolist(),
                 writes.tolist(),
                 instructions,
-                arrays=(addrs, writes),
             )
 
     def _array_chunks(self):
@@ -316,7 +278,6 @@ class _FrozenChunk:
         "instructions",
         "cum",
         "run_ends",
-        "run_cum",
         "write_cum",
     )
 
@@ -328,7 +289,6 @@ class _FrozenChunk:
         self.cum = np.cumsum(gaps + 1)
         self.write_cum = np.cumsum(writes.astype(np.int64))
         self.run_ends = _run_ends_array(addrs)
-        self.run_cum = _run_cum_array(addrs)
 
     def __len__(self):
         return len(self.gaps)
@@ -340,8 +300,7 @@ class _FrozenChunk:
             self.addrs.tolist(),
             self.writes.tolist(),
             self.instructions,
-            meta_arrays=(self.cum, self.run_ends, self.run_cum, self.write_cum),
-            arrays=(self.addrs, self.writes),
+            meta_arrays=(self.cum, self.run_ends, self.write_cum),
         )
 
 

@@ -1,8 +1,9 @@
 """Engine-flag propagation: client environment governs worker processes.
 
-``REPRO_VECTOR`` / ``REPRO_BATCH_MISS`` / ``REPRO_BRUTE_SCAN`` select
-*how* a simulation executes (all modes are bit-identical), and they are
-read when the hierarchy is built — in the worker process. These tests pin the contract that a submitting client's
+``REPRO_BATCH_MISS`` / ``REPRO_BRUTE_SCAN`` select *how* a simulation
+executes (all modes are bit-identical), and they are read when the
+simulation builds its caches and runs — in the worker process. These
+tests pin the contract that a submitting client's
 flags travel with its batch: captured by :func:`engine_env`, shipped
 through the protocol, spooled for restart recovery, carried on scheduler
 units, and finally pinned inside the isolated child by
@@ -52,16 +53,15 @@ class TestCaptureAndApply:
         assert engine_env() == {"REPRO_BATCH_MISS": "0"}
 
     def test_engine_env_reads_an_explicit_mapping(self):
-        captured = engine_env({"REPRO_VECTOR": "1", "PATH": "/bin"})
-        assert captured == {"REPRO_VECTOR": "1"}
+        captured = engine_env({"REPRO_BATCH_MISS": "1", "PATH": "/bin"})
+        assert captured == {"REPRO_BATCH_MISS": "1"}
 
     def test_apply_none_leaves_environment_alone(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "0")
+        monkeypatch.setenv("REPRO_BATCH_MISS", "0")
         apply_engine_env(None)
-        assert os.environ["REPRO_VECTOR"] == "0"
+        assert os.environ["REPRO_BATCH_MISS"] == "0"
 
     def test_apply_dict_is_authoritative_for_every_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "0")
         monkeypatch.setenv("REPRO_BRUTE_SCAN", "1")
         # Register with monkeypatch before apply_engine_env mutates it,
         # so the flag is restored (not leaked) after this test.
@@ -69,26 +69,25 @@ class TestCaptureAndApply:
         apply_engine_env({"REPRO_BATCH_MISS": "0"})
         assert os.environ.get("REPRO_BATCH_MISS") == "0"
         # Flags absent from the capture are scrubbed, not inherited.
-        assert "REPRO_VECTOR" not in os.environ
         assert "REPRO_BRUTE_SCAN" not in os.environ
 
 
 class TestIsolatedChild:
     def test_child_runs_under_the_submitted_env(self, monkeypatch):
-        # The daemon's own environment disables the interpreter...
-        monkeypatch.setenv("REPRO_VECTOR", "0")
+        # The daemon's own environment forces the brute-force scans...
+        monkeypatch.setenv("REPRO_BRUTE_SCAN", "1")
         monkeypatch.delenv("REPRO_BATCH_MISS", raising=False)
         # ...but the client pinned only REPRO_BATCH_MISS=0.
         (seen,) = execute_batch_with_retry(
             [probe(1)], env={"REPRO_BATCH_MISS": "0"}
         )
         assert seen["REPRO_BATCH_MISS"] == "0"
-        assert seen["REPRO_VECTOR"] is None  # daemon setting scrubbed
+        assert seen["REPRO_BRUTE_SCAN"] is None  # daemon setting scrubbed
 
     def test_no_env_means_the_child_inherits(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "0")
+        monkeypatch.setenv("REPRO_BATCH_MISS", "0")
         (seen,) = execute_batch_with_retry([probe(2)], env=None)
-        assert seen["REPRO_VECTOR"] == "0"
+        assert seen["REPRO_BATCH_MISS"] == "0"
 
 
 class TestSchedulerUnits:
@@ -117,11 +116,11 @@ class TestSchedulerUnits:
 class TestProtocolAndSpool:
     def test_submit_points_carries_env(self):
         message = protocol.submit_points(
-            "b1", [probe(5)], env={"REPRO_VECTOR": "1"}
+            "b1", [probe(5)], env={"REPRO_BATCH_MISS": "1"}
         )
-        assert message["env"] == {"REPRO_VECTOR": "1"}
+        assert message["env"] == {"REPRO_BATCH_MISS": "1"}
         decoded = protocol.loads(protocol.dumps(message))
-        assert decoded["env"] == {"REPRO_VECTOR": "1"}
+        assert decoded["env"] == {"REPRO_BATCH_MISS": "1"}
 
     def test_spool_recovery_reads_both_formats(self, tmp_path):
         seen = []
@@ -170,9 +169,10 @@ class TestServerSanitisation:
     def test_submit_drops_unknown_env_keys(self, tmp_path, monkeypatch):
         # A submit is not a general env-injection channel: keys outside
         # ENGINE_FLAGS — an arbitrary loader variable, or a retired
-        # engine switch an older client still sets — are dropped before
-        # the batch is queued, and the batch still completes.
-        monkeypatch.delenv("REPRO_VECTOR", raising=False)
+        # engine switch an older client or spool still sets — are
+        # dropped before the batch is queued, and the batch still
+        # completes.
+        monkeypatch.delenv("REPRO_BATCH_MISS", raising=False)
         queued = []
 
         async def scenario():
@@ -189,7 +189,12 @@ class TestServerSanitisation:
             message = protocol.submit_points(
                 "b-env",
                 [probe(8), probe(9)],
-                env={"REPRO_VECTOR": "0", "REPRO_VECTOR_MC": "0", "LD_PRELOAD": "x"},
+                env={
+                    "REPRO_BATCH_MISS": "0",
+                    "REPRO_VECTOR": "0",
+                    "REPRO_VECTOR_MC": "0",
+                    "LD_PRELOAD": "x",
+                },
             )
             await service._handle_submit(message, writer, "client-a")
             await service.scheduler.close()
@@ -198,14 +203,13 @@ class TestServerSanitisation:
             return writer.messages
 
         messages = asyncio.run(scenario())
-        assert queued == [{"REPRO_VECTOR": "0"}]
+        assert queued == [{"REPRO_BATCH_MISS": "0"}]
         points = [m for m in messages if m["event"] == "point"]
         assert len(points) == 2
         for point in points:
             seen = protocol.decode_payload(point["result"])
             assert seen == {
-                "REPRO_VECTOR": "0",
-                "REPRO_BATCH_MISS": None,
+                "REPRO_BATCH_MISS": "0",
                 "REPRO_BRUTE_SCAN": None,
             }
         assert messages[-1]["event"] == "done"

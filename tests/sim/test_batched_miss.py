@@ -1,31 +1,31 @@
 """Bit-identity of the batched miss-chain engine.
 
-``REPRO_BATCH_MISS`` (default on) swaps the columnar interpreter's
-residual path — per-reference replay through ``CacheHierarchy.access``
-— for the fused drain of :mod:`repro.cache.miss_engine`: the whole
-L2/LLC/NVM chain transcribed into one loop with deferred batch
-bookkeeping. Like the interpreter itself, this is an optimization, not a
-model change, so this file drives the engine (``REPRO_BATCH_MISS=1``)
-and the scalar chain (``=0``) — both under ``REPRO_VECTOR=1`` — over the
-same points and asserts exact equality of every observable: cycles,
-stalls, tokens, the architectural image, the full stat snapshot, and
-crash-recovery output.
+``REPRO_BATCH_MISS`` (default on) hands each epoch segment of the
+single-core loop to the fused drain of :mod:`repro.cache.miss_engine`:
+the whole L1/L2/LLC/NVM chain transcribed into one loop with deferred
+batch bookkeeping. ``REPRO_BATCH_MISS=0`` runs the loop's per-reference
+body instead, where every store and L1 miss goes through
+``CacheHierarchy.access``. The drain is an optimization, not a model
+change, so this file drives the drain (``=1``) and the scalar loop
+(``=0``) over the same points and asserts exact equality of every
+observable: cycles, stalls, tokens, the architectural image, the full
+stat snapshot, and crash-recovery output.
 
 Beyond the scheme x benchmark matrix, the suite aims at exactly the
 state the engine defers or transcribes:
 
-* semantic crash sites *inside* a drained window (LLC-eviction window,
+* semantic crash sites *inside* a drained segment (LLC-eviction window,
   torn undo flush, the pre-in-place window) — the deferred undo run and
   channel locals must land before any ``CrashSignal`` can observe them;
 * PiCL's store-filter regimes (plain / sub-block / capped log), which
   select the three store-dispatch modes of the drain;
 * the decline gates (flag off, banked open-page device, multi-channel,
-  multi-core) — ineligible configs must fall back to the scalar chain;
+  multi-core) — ineligible configs must fall back to the scalar loop;
 * the EID-index differential oracle: after an engine run the LLC EID
   index must verify clean against a brute-force sweep of the live LLC;
 * a hypothesis fuzz over the workload-profile space, so the drain's
-  window interleavings are exercised on shapes no curated benchmark
-  hits.
+  segment interleavings are exercised on shapes no curated benchmark
+  hits, including its hit-dominated and long-run shapes.
 """
 
 import dataclasses
@@ -67,33 +67,27 @@ def run_mode(
 ):
     """Run one simulation with the miss-chain engine on or off.
 
-    ``REPRO_VECTOR`` is read when the hierarchy is built and
-    ``REPRO_BATCH_MISS`` when the interpreter starts a run, so both stay
-    pinned across construction *and* ``run()`` — and are restored after,
-    so the two modes cannot leak into each other. ``expect_engine``
-    overrides the default gate check (engine attached iff ``batched``)
-    for configs the engine deliberately declines.
+    ``REPRO_BATCH_MISS`` is read when the single-core loop starts a
+    run, so it stays pinned across construction *and* ``run()`` — and is
+    restored after, so the two modes cannot leak into each other.
+    ``expect_engine`` overrides the default gate check (engine attached
+    iff ``batched``) for configs the engine deliberately declines.
     """
-    saved = {
-        name: os.environ.get(name)
-        for name in ("REPRO_VECTOR", "REPRO_BATCH_MISS")
-    }
-    os.environ["REPRO_VECTOR"] = "1"
+    saved = os.environ.get("REPRO_BATCH_MISS")
     os.environ["REPRO_BATCH_MISS"] = "1" if batched else "0"
     if expect_engine is None:
         expect_engine = batched
     try:
         sim = Simulation(config, scheme, [bench], n, seed=seed)
         # The gate must actually take effect, or the test compares the
-        # engine against itself (or the scalar chain against itself).
+        # drain against itself (or the scalar loop against itself).
         assert (build_engine(sim) is not None) == expect_engine
         sim.run(crash_at_instructions=crash_at, crash_plan=plan)
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop("REPRO_BATCH_MISS", None)
+        else:
+            os.environ["REPRO_BATCH_MISS"] = saved
     return sim
 
 
@@ -109,20 +103,25 @@ def assert_identical(scalar, batched):
     assert scalar.stats.snapshot() == batched.stats.snapshot()
 
 
-# Scheme x benchmark points biased toward miss-heavy traces (the drain
-# exists for them), with hmmer/lbm keeping the near-empty-residual and
-# long-run regimes honest. Every scheme appears, covering all three
+# Scheme x benchmark points spanning the regimes the drain runs: miss-
+# heavy (gcc/mcf/astar), hit-dominated (hmmer, where nearly every
+# reference is an L1 hit) and long same-line runs (lbm/h264ref, the
+# inline run-coalescing tail). Every scheme appears, covering all three
 # store-dispatch modes and both write-back transcriptions.
 PAIRS = [
     ("ideal", "gcc"),
+    ("ideal", "hmmer"),
     ("journaling", "mcf"),
     ("shadow", "gcc"),
     ("frm", "astar"),
+    ("frm", "lbm"),
     ("thynvm", "mcf"),
+    ("thynvm", "astar"),
     ("picl", "gcc"),
     ("picl", "astar"),
     ("picl", "hmmer"),
     ("picl", "lbm"),
+    ("picl", "h264ref"),
 ]
 
 
@@ -136,14 +135,16 @@ class TestBitIdentity:
 
     def test_sub_block_granularity_identical(self):
         # 16 B tracking forces the store filter off, so every store in a
-        # drained window goes through the out-of-line on_store call site.
+        # drained segment goes through the out-of-line on_store call site
+        # and every run tail through on_store_repeat (lbm: long runs).
         config = small_config()
         config = dataclasses.replace(
             config, picl=dataclasses.replace(config.picl, tracking_granularity=16)
         )
-        scalar = run_mode(False, config, "picl", "gcc", N, seed=21)
-        batched = run_mode(True, config, "picl", "gcc", N, seed=21)
-        assert_identical(scalar, batched)
+        for bench in ("gcc", "lbm"):
+            scalar = run_mode(False, config, "picl", bench, N, seed=21)
+            batched = run_mode(True, config, "picl", bench, N, seed=21)
+            assert_identical(scalar, batched)
 
     def test_capped_log_identical(self):
         # A hard log cap disables plain mode: the drain must dispatch
@@ -153,14 +154,15 @@ class TestBitIdentity:
             config,
             picl=dataclasses.replace(config.picl, log_max_bytes=64 * 1024 * 1024),
         )
-        scalar = run_mode(False, config, "picl", "gcc", N, seed=33)
-        batched = run_mode(True, config, "picl", "gcc", N, seed=33)
-        assert_identical(scalar, batched)
+        for bench in ("gcc", "lbm"):
+            scalar = run_mode(False, config, "picl", bench, N, seed=33)
+            batched = run_mode(True, config, "picl", bench, N, seed=33)
+            assert_identical(scalar, batched)
 
 
 class TestCrashSites:
-    """Crashes landing *inside* a drained window must observe the exact
-    scalar-chain state: deferred counters, cycles, tokens, and the
+    """Crashes landing *inside* a drained segment must observe the exact
+    scalar-loop state: deferred counters, cycles, tokens, and the
     pending undo run all land (via the drain's ``finally`` and pre-site
     merges) before the signal propagates."""
 
@@ -182,8 +184,8 @@ class TestCrashSites:
         assert image_a == image_b
         assert ref_a == ref_b
 
-    # Occurrences chosen deep enough that the site fires from a drain in
-    # a miss-heavy phase, not from the first scalar warm-up window.
+    # Occurrences chosen deep enough that the site fires in a miss-heavy
+    # phase, well past the cold-start fills.
     SITE_PLANS = [
         ("llc_eviction", "picl", dict(occurrence=300)),
         ("llc_eviction", "journaling", dict(occurrence=15)),
@@ -225,14 +227,8 @@ class TestGate:
         monkeypatch.setenv("REPRO_BATCH_MISS", "0")
         assert build_engine(sim) is None
 
-    def test_no_mirror_declines(self, monkeypatch):
-        # No columnar L1 mirror (REPRO_VECTOR=0) means no windows to
-        # drain; the engine requires the interpreter.
-        monkeypatch.setenv("REPRO_VECTOR", "0")
-        sim = Simulation(small_config(), "picl", ["gcc"], 1_000, seed=1)
-        assert build_engine(sim) is None
-
     def test_multi_core_declines(self):
+        # Multi-core systems always take the turn-batched heap loop.
         config = dataclasses.replace(small_config(), n_cores=2)
         sim = Simulation(config, "picl", ["gcc", "mcf"], 1_000, seed=1)
         assert build_engine(sim) is None
@@ -265,7 +261,7 @@ class TestGate:
     ])
     def test_declined_configs_still_identical(self, config_fn):
         # With the engine declined, REPRO_BATCH_MISS=1 and =0 must run
-        # the very same scalar path — the flag is inert, not harmful.
+        # the very same per-reference body — the flag is inert, not harmful.
         config = config_fn(small_config())
         scalar = run_mode(False, config, "picl", "gcc", 20_000, seed=3)
         batched_flag = run_mode(
@@ -280,7 +276,6 @@ class TestIndexOracle:
     the live LLC must be clean."""
 
     def test_index_verifies_clean(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "1")
         monkeypatch.setenv("REPRO_BATCH_MISS", "1")
         sim = Simulation(small_config(), "picl", ["gcc"], N, seed=13)
         assert build_engine(sim) is not None
@@ -289,8 +284,8 @@ class TestIndexOracle:
         assert llc.eid_index.verify_against(llc) == []
 
 
-# Workload space for the fuzz, constrained exactly as
-# WorkloadProfile.__post_init__ demands (mirrors test_vectorized).
+# Workload space for the fuzz: every axis the trace generator exposes,
+# constrained exactly as WorkloadProfile.__post_init__ demands.
 _fuzz_profiles = st.builds(
     lambda mem, wf, seq, chase_scale, ws, alpha, run, sb, zb_scale: WorkloadProfile(
         "_fuzz",
@@ -325,6 +320,10 @@ class TestFuzz:
         seed=st.integers(0, 2**20),
     )
     def test_random_workloads_identical(self, profile, scheme, seed):
+        # Simulation resolves benchmarks by name, so park the generated
+        # profile in the registry for the duration of the two runs. The
+        # trace memo keys on the profile value (a frozen dataclass), so
+        # same-name profiles with different parameters never collide.
         profiles._BY_NAME["_fuzz"] = profile
         try:
             scalar = run_mode(

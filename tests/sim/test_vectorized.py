@@ -1,23 +1,27 @@
-"""Bit-identity of the columnar single-core interpreter.
+"""Bit-identity of the default engine stack against the reference stack.
 
-``REPRO_VECTOR`` (default on) swaps :meth:`Simulation._run_single_core`
-for the columnar loop in ``_run_single_core_vector``: windows of the
-reference stream are classified array-at-a-time against the L1 tag
-mirror, all-fast stretches are applied in bulk, and everything else
-replays through the exact per-reference path. Like the batching PR
-before it, this is an optimization, not a model change — so this file
-drives the scalar (``REPRO_VECTOR=0``) and columnar interpreters over
-the same points and asserts exact equality of every observable: cycles,
-stalls, tokens, the architectural image, the full stat snapshot, and
-crash-recovery output.
+Every flag in :data:`repro.sim.parallel.ENGINE_FLAGS` selects a fast
+path that must be bit-identical to a reference implementation:
+``REPRO_BATCH_MISS`` hands each epoch/crash segment of the single-core
+loop to the fused miss-chain drain (``=0`` runs the per-reference body),
+and ``REPRO_BRUTE_SCAN=1`` replaces the dirty-line dict and the LLC EID
+index with the original full-cache sweeps. ``tests/sim/test_batched_miss.py``
+and ``tests/cache/test_eid_index.py`` each diff one flag with the other
+left at its default; this file flips them *together* and diffs whole
+simulations: every fast path at once (the configuration every figure is
+produced with) against every reference at once, so an interaction
+between the drain and the indexed scans cannot hide behind a per-flag
+suite. The observables are cycles, stalls, tokens, the architectural
+image, the full stat snapshot, and crash-recovery output.
 
-The matrix deliberately crosses every scheme (each has a different
-``vector_store_filter`` contract: always-fast, never-fast, and
-EID-conditional) with benchmarks spanning hit-dominated, run-structured,
-and miss-heavy traces, plus the configs that force the store filter off
-(sub-block granularity, capped log). A hypothesis fuzz then walks the
-workload-profile space itself so the classifier's window/repair logic is
-exercised on shapes no curated benchmark hits.
+(The file name is historical: this matrix first checked the columnar
+single-core interpreter, which the miss-chain drain replaced.)
+
+The matrix crosses every scheme with benchmarks spanning hit-dominated,
+run-structured and miss-heavy traces, plus the PiCL configs that force
+its store filter off (sub-block granularity, capped log), mid-epoch
+crashes, a two-core system, and a hypothesis fuzz over the
+workload-profile space.
 """
 
 import dataclasses
@@ -27,11 +31,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.miss_engine import build_engine
+from repro.common.units import MB
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Simulation
 from repro.trace import profiles
 from repro.trace.profiles import WorkloadProfile
-from repro.common.units import MB
 
 
 def small_config(**overrides):
@@ -44,46 +48,58 @@ N = 60_000  # a few scheduled epochs at scale 256
 
 SCHEMES = ("ideal", "journaling", "shadow", "frm", "thynvm", "picl")
 
+#: Flag bindings of the two stacks. The reference stack's brute sweeps
+#: are read when the caches are built, the batch flag when the loop
+#: starts a run, so both stay pinned across construction and ``run()``.
+FAST = {"REPRO_BATCH_MISS": "1", "REPRO_BRUTE_SCAN": ""}
+REFERENCE = {"REPRO_BATCH_MISS": "0", "REPRO_BRUTE_SCAN": "1"}
 
-def run_mode(vector, config, scheme, bench, n, seed, crash_at=None):
-    """Run one simulation with the columnar interpreter on or off.
 
-    ``REPRO_VECTOR`` is read when the hierarchy is built, so the
-    environment must be set before ``Simulation`` is constructed — and
-    restored afterwards so the two modes cannot leak into each other.
+def run_mode(fast, config, scheme, benches, n, seed, crash_at=None):
+    """Run one simulation on the fast or the reference stack.
+
+    The flags are restored afterwards so the two stacks cannot leak
+    into each other (or into other tests).
     """
-    previous = os.environ.get("REPRO_VECTOR")
-    os.environ["REPRO_VECTOR"] = "1" if vector else "0"
+    flags = FAST if fast else REFERENCE
+    saved = {name: os.environ.get(name) for name in flags}
+    os.environ.update(flags)
     try:
-        sim = Simulation(config, scheme, [bench], n, seed=seed)
+        sim = Simulation(config, scheme, list(benches), n, seed=seed)
+        # The flags must actually take effect, or the test compares one
+        # stack against itself.
+        assert sim.hierarchy._brute_scan == (not fast)
+        if config.n_cores == 1:
+            assert (build_engine(sim) is not None) == fast
+        sim.run(crash_at_instructions=crash_at)
     finally:
-        if previous is None:
-            del os.environ["REPRO_VECTOR"]
-        else:
-            os.environ["REPRO_VECTOR"] = previous
-    # The gate must actually have taken effect, or the test compares the
-    # scalar interpreter against itself.
-    assert (sim.hierarchy._l1[0]._vec is not None) == vector
-    sim.run(crash_at_instructions=crash_at)
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
     return sim
 
 
-def assert_identical(scalar, columnar):
+def assert_identical(reference, fast):
     """Every observable of the two simulations must match exactly."""
-    a, b = scalar.result(), columnar.result()
+    a, b = reference.result(), fast.result()
     assert a.cycles == b.cycles
     assert a.instructions == b.instructions
     assert a.per_core_cycles == b.per_core_cycles
-    assert scalar.cores[0].mem_stall_cycles == columnar.cores[0].mem_stall_cycles
-    assert scalar.system._next_token == columnar.system._next_token
-    assert scalar.system.arch_image == columnar.system.arch_image
-    assert scalar.stats.snapshot() == columnar.stats.snapshot()
+    assert [c.mem_stall_cycles for c in reference.cores] == [
+        c.mem_stall_cycles for c in fast.cores
+    ]
+    assert reference.system._next_token == fast.system._next_token
+    assert reference.system.arch_image == fast.system.arch_image
+    assert reference.stats.snapshot() == fast.stats.snapshot()
 
 
-# Scheme x benchmark points chosen for coverage of the classifier's
-# regimes: hmmer (hit-dominated; the bulk path carries nearly every
-# window), lbm/h264ref (long same-line runs; the run-based cost model),
-# gcc/mcf/astar (miss-heavy; disengage bursts and repair demotions).
+# Scheme x benchmark points: hmmer (hit-dominated; nearly every
+# reference is an L1 hit inside the drain), lbm/h264ref (long same-line
+# runs; the drain's run-coalescing tail), gcc/mcf/astar (miss-heavy;
+# frequent LLC evictions exercise the EID-index discards the brute
+# sweep cross-checks).
 PAIRS = [
     ("ideal", "hmmer"),
     ("journaling", "mcf"),
@@ -100,66 +116,62 @@ class TestBitIdentity:
     @pytest.mark.parametrize("scheme,bench", PAIRS)
     def test_full_run_identical(self, scheme, bench):
         config = small_config()
-        scalar = run_mode(False, config, scheme, bench, N, seed=77)
-        columnar = run_mode(True, config, scheme, bench, N, seed=77)
-        assert_identical(scalar, columnar)
+        reference = run_mode(False, config, scheme, [bench], N, seed=77)
+        fast = run_mode(True, config, scheme, [bench], N, seed=77)
+        assert_identical(reference, fast)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_crash_run_identical(self, scheme):
         config = small_config()
         crash_at = N // 2 + 137  # mid-epoch, not on a boundary
-        scalar = run_mode(False, config, scheme, "gcc", N, seed=9, crash_at=crash_at)
-        columnar = run_mode(True, config, scheme, "gcc", N, seed=9, crash_at=crash_at)
-        assert scalar.crashed and columnar.crashed
-        assert_identical(scalar, columnar)
-        image_a, commit_a, ref_a = scalar.crash_and_recover()
-        image_b, commit_b, ref_b = columnar.crash_and_recover()
+        reference = run_mode(
+            False, config, scheme, ["gcc"], N, seed=9, crash_at=crash_at
+        )
+        fast = run_mode(True, config, scheme, ["gcc"], N, seed=9, crash_at=crash_at)
+        assert reference.crashed and fast.crashed
+        assert_identical(reference, fast)
+        image_a, commit_a, ref_a = reference.crash_and_recover()
+        image_b, commit_b, ref_b = fast.crash_and_recover()
         assert commit_a == commit_b
         assert image_a == image_b
         assert ref_a == ref_b
 
     def test_sub_block_granularity_identical(self):
-        # 16 B tracking makes picl's store filter decline every store, so
-        # the columnar loop only bulks loads; stores all go residual.
+        # 16 B tracking puts lines into the EID index's sub-block bucket
+        # and forces PiCL's store filter off inside the drain.
         config = small_config()
         config = dataclasses.replace(
             config, picl=dataclasses.replace(config.picl, tracking_granularity=16)
         )
-        scalar = run_mode(False, config, "picl", "lbm", N, seed=21)
-        columnar = run_mode(True, config, "picl", "lbm", N, seed=21)
-        assert_identical(scalar, columnar)
+        reference = run_mode(False, config, "picl", ["lbm"], N, seed=21)
+        fast = run_mode(True, config, "picl", ["lbm"], N, seed=21)
+        assert_identical(reference, fast)
 
     def test_capped_log_identical(self):
-        # A hard log cap makes every store check log pressure; the store
-        # filter must refuse and the columnar loop must still agree.
+        # A hard log cap makes every store check log pressure, so the
+        # drain dispatches stores out of line and forced ACS passes
+        # sweep (or index-scan) the LLC mid-epoch.
         config = small_config()
         config = dataclasses.replace(
             config,
             picl=dataclasses.replace(config.picl, log_max_bytes=64 * 1024 * 1024),
         )
-        scalar = run_mode(False, config, "picl", "lbm", N, seed=33)
-        columnar = run_mode(True, config, "picl", "lbm", N, seed=33)
-        assert_identical(scalar, columnar)
+        reference = run_mode(False, config, "picl", ["lbm"], N, seed=33)
+        fast = run_mode(True, config, "picl", ["lbm"], N, seed=33)
+        assert_identical(reference, fast)
 
 
 class TestGate:
-    def test_mirror_attached_by_default(self):
-        sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
-        assert sim.hierarchy._l1[0]._vec is not None
-
-    def test_mirror_detached_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "0")
-        sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
-        assert sim.hierarchy._l1[0]._vec is None
-
     def test_multi_core_stays_scalar(self):
-        # REPRO_VECTOR selects the columnar path for single-core runs
-        # only: multi-core systems always take the scalar heap loop, so
-        # no private L1 carries a mirror and the miss engine declines.
+        # Multi-core systems always take the turn-batched heap loop: the
+        # miss engine declines, so only the index-vs-sweep flag differs
+        # between the stacks, and the results must still agree.
         config = dataclasses.replace(small_config(), n_cores=2)
-        sim = Simulation(config, "ideal", ["gcc", "mcf"], 1_000, seed=1)
-        assert all(l1._vec is None for l1 in sim.hierarchy._l1)
+        sim = Simulation(config, "picl", ["gcc", "mcf"], 1_000, seed=1)
         assert build_engine(sim) is None
+        reference = run_mode(False, config, "picl", ["gcc", "mcf"], 20_000, seed=1)
+        fast = run_mode(True, config, "picl", ["gcc", "mcf"], 20_000, seed=1)
+        assert_identical(reference, fast)
 
 
 # Workload space for the fuzz: every axis the trace generator exposes,
@@ -204,8 +216,10 @@ class TestFuzz:
         # same-name profiles with different parameters never collide.
         profiles._BY_NAME["_fuzz"] = profile
         try:
-            scalar = run_mode(False, small_config(), scheme, "_fuzz", 20_000, seed=seed)
-            columnar = run_mode(True, small_config(), scheme, "_fuzz", 20_000, seed=seed)
+            reference = run_mode(
+                False, small_config(), scheme, ["_fuzz"], 20_000, seed=seed
+            )
+            fast = run_mode(True, small_config(), scheme, ["_fuzz"], 20_000, seed=seed)
         finally:
             del profiles._BY_NAME["_fuzz"]
-        assert_identical(scalar, columnar)
+        assert_identical(reference, fast)

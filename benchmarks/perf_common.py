@@ -15,10 +15,12 @@ Rows come in two groups:
   core and 512-instruction epochs. These are the rows that regress if
   the EID-index scan paths ever fall back to sweeping the cache.
 
-A third group (``make_misschain_rows``, single-core plain rows ordered
-miss-heavy first) times ``REPRO_BATCH_MISS=0`` vs ``=1`` strictly
-interleaved: the single-core loop's per-reference body against the
-batched miss-chain drain — the matrix in ``BENCH_misschain.json``.
+A third group (``make_misschain_rows``: single-core plain rows ordered
+miss-heavy first, then eight-core W2 mix rows) times
+``REPRO_BATCH_MISS=0`` vs ``=1`` strictly interleaved: the simulator's
+per-reference loops (the single-core body, the turn-batched multi-core
+heap loop) against the batched miss-chain engine — the matrix in
+``BENCH_misschain.json``.
 
 The protocol is best-of-N passes per row (noise on shared hardware is
 strictly additive, so the fastest pass is the stable statistic), fixed
@@ -40,8 +42,8 @@ SEED = 20180101
 PROTOCOL = "throughput-v2"
 
 #: Schema tag for BENCH_misschain.json (REPRO_BATCH_MISS=0 vs =1: the
-#: scalar single-core loop vs the per-segment drain).
-MISSCHAIN_PROTOCOL = "misschain-v2"
+#: per-reference loops vs the engine, single-core and eight-core rows).
+MISSCHAIN_PROTOCOL = "misschain-v3"
 
 
 def make_rows():
@@ -81,16 +83,21 @@ def run_row(row):
 def make_misschain_rows():
     """The batched-miss-chain matrix rows, gcc (miss-heavy) first.
 
-    Single-core plain rows at the historical scale 128 (the engine drives
-    exactly one core), ordered by how much the row exercises the miss
-    chain: the gcc rows lead because they are the ones the batched engine
-    exists for (sparse access pattern, most references reach
-    L2/LLC/NVM), then the long-run rows (lbm, h264ref), then
-    hit-dominated hmmer, where nearly every reference is an L1 hit and
-    the drain competes with the scalar loop's inlined hit path.
+    Single-core plain rows at the historical scale 128, ordered by how
+    much the row exercises the miss chain: the gcc rows lead because they
+    are the ones the batched engine exists for (sparse access pattern,
+    most references reach L2/LLC/NVM), then the long-run rows (lbm,
+    h264ref), then hit-dominated hmmer, where nearly every reference is
+    an L1 hit and the drain competes with the scalar loop's inlined hit
+    path. Then the eight-core W2 mix (Fig 10's shape) at the same scale
+    for three schemes: Ideal, PiCL (inline store body) and Journaling
+    (out-of-line ``on_store``), where the engine competes with the
+    turn-batched heap loop and turns average under three references.
     """
     cfg = SystemConfig().scaled(128)
     n = cfg.epoch_instructions * 4
+    cfg8 = SystemConfig().scaled(128, n_cores=8)
+    n8 = cfg8.epoch_instructions * 2
     return [
         ("picl/gcc", "picl", "gcc", cfg, n, False, False),
         ("ideal/gcc", "ideal", "gcc", cfg, n, False, False),
@@ -98,6 +105,9 @@ def make_misschain_rows():
         ("picl/h264ref", "picl", "h264ref", cfg, n, False, False),
         ("picl/hmmer", "picl", "hmmer", cfg, n, False, False),
         ("ideal/hmmer", "ideal", "hmmer", cfg, n, False, False),
+        ("ideal/W2", "ideal", "W2", cfg8, n8, True, False),
+        ("picl/W2", "picl", "W2", cfg8, n8, True, False),
+        ("journaling/W2", "journaling", "W2", cfg8, n8, True, False),
     ]
 
 
@@ -125,7 +135,7 @@ def measure_misschain(passes=2, rows=None):
     Every pass runs both modes back to back per row so they see
     identical machine conditions, and the fastest pass per mode is kept
     (noise is additive). Returns (measurements, overall); ``speedup`` is
-    scalar-loop time over batched-engine time.
+    per-reference-loop time over batched-engine time.
     """
     if rows is None:
         rows = make_misschain_rows()

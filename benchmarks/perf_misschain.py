@@ -1,9 +1,9 @@
 """Measure the batched miss-chain engine and write BENCH_misschain.json.
 
 Runs the misschain matrix (``perf_common.make_misschain_rows``, gcc
-rows first) with ``REPRO_BATCH_MISS=0`` (the single-core loop's
-per-reference body) and ``=1`` (the per-segment drain) strictly
-interleaved, keeping the fastest pass per mode, and writes
+rows first, eight-core W2 rows last) with ``REPRO_BATCH_MISS=0`` (the
+simulator's per-reference loops) and ``=1`` (the miss-chain engine)
+strictly interleaved, keeping the fastest pass per mode, and writes
 ``benchmarks/results/BENCH_misschain.json``.
 
 The committed JSON is the PR-acceptance artifact for the engine: the

@@ -15,14 +15,14 @@ Usage (from the repo root)::
 ``--row`` profiles one of the named throughput rows (exact config the
 bench times, see perf_common.make_rows and make_misschain_rows);
 ``--scheme/--bench/--scale`` builds an ad-hoc single-core row, or with
-``--cores`` above 1 a multi-core mix row, which always runs the
-turn-batched multi-core heap loop (the banner says ``multi-core heap
-loop``). Single-core rows run the single-core loop under the inherited
-``REPRO_BATCH_MISS`` (the banner names it). ``--miss`` profiles *only*
-the drain calls: the profiler is switched on around each batched
-miss-chain drain call (one per epoch segment) and off everywhere else,
-so the report shows where miss-chain time goes without epoch-boundary
-and trace work around it — and prints the drain's share of the wall
+``--cores`` above 1 a multi-core mix row. Every row runs under the
+inherited ``REPRO_BATCH_MISS`` (the banner names it and the core
+count): the miss-chain engine by default, the per-reference loops with
+``=0``. ``--miss`` profiles *only* the drain calls: the profiler is
+switched on around each batched miss-chain drain call (one per
+epoch/crash boundary, spanning every core's turns) and off everywhere else, so the
+report shows where miss-chain time goes without epoch-boundary and
+trace work around it — and prints the drain's share of the wall
 clock. Sorting/limits mirror
 ``python -m repro <fig> --profile`` but this runs one row in-process,
 no experiment plumbing around it.
@@ -81,13 +81,10 @@ def main(argv=None):
     if args.miss:
         os.environ["REPRO_BATCH_MISS"] = "1"
     row = build_row(args)
-    if row[5]:
-        # Multi-core rows always run the one turn-batched heap loop.
-        engine = "multi-core heap loop"
-    else:
-        engine = "single-core loop, REPRO_BATCH_MISS=%s" % os.environ.get(
-            "REPRO_BATCH_MISS", "1"
-        )
+    engine = "%s, REPRO_BATCH_MISS=%s" % (
+        "%d cores" % row[3].n_cores if row[5] else "single core",
+        os.environ.get("REPRO_BATCH_MISS", "1"),
+    )
     print(
         "profiling row %s (%d instructions, %s%s)"
         % (row[0], row[4], engine, ", drain calls only" if args.miss else "")
@@ -101,11 +98,11 @@ def main(argv=None):
         if drain_stats["calls"] == 0:
             raise SystemExit(
                 "no drain calls ran — the engine declined this row "
-                "(multi-core, banked NVM or multi-channel configs fall back "
-                "to the scalar loop)"
+                "(banked NVM, multi-channel or DRAM-cache configs fall back "
+                "to the per-reference loops)"
             )
         print(
-            "drain: %d segment calls, %.2fs in-drain (%.0f%% of wall)"
+            "drain: %d calls, %.2fs in-drain (%.0f%% of wall)"
             % (
                 drain_stats["calls"],
                 drain_stats["seconds"],
@@ -126,9 +123,9 @@ def main(argv=None):
 def profile_miss_windows(profiler, row):
     """Run ``row`` with the profiler live only inside drain calls.
 
-    Wraps ``MissChainEngine.make_drain`` so every drain the single-core
-    loop builds is bracketed by ``profiler.enable()``/``disable()``;
-    epoch boundaries and trace generation run unprofiled. Returns
+    Wraps ``MissChainEngine.make_drain`` so every call of the run's
+    drain is bracketed by ``profiler.enable()``/``disable()``; epoch
+    boundaries and trace generation run unprofiled. Returns
     (refs, wall seconds, {calls, seconds}) where ``seconds`` is wall
     time spent inside drain calls.
     """

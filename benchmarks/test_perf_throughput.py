@@ -136,23 +136,24 @@ def format_misschain(measurements, overall):
 
 
 def test_perf_misschain(benchmark, archive):
-    """Scalar single-core loop vs batched drain, strictly interleaved.
+    """Per-reference loops vs the miss-chain engine, strictly interleaved.
 
     Only ``REPRO_BATCH_MISS`` is toggled, so the ratio isolates the
-    per-segment drain against the loop's per-reference body;
-    bit-identity is asserted by tests/sim/test_batched_miss.py. Rows
-    lead with gcc — the miss-heavy rows the engine exists for — and
-    assertions stay sanity-level: the speedup on hit-dominated hmmer
-    rows is legitimately near 1x (nearly every reference is an L1 hit,
-    which the scalar loop also inlines). ``results/BENCH_misschain.json``
-    carries the perf story.
+    engine against the single-core loop's per-reference body and the
+    turn-batched multi-core heap loop; bit-identity is asserted by
+    tests/sim/test_batched_miss.py and tests/sim/test_multicore_loop.py.
+    Rows lead with gcc — the miss-heavy rows the engine exists for — and
+    end with the eight-core W2 mix; assertions stay sanity-level: the
+    speedup on hit-dominated hmmer rows is legitimately near 1x (nearly
+    every reference is an L1 hit, which the scalar loops also inline).
+    ``results/BENCH_misschain.json`` carries the perf story.
     """
     measurements, overall = benchmark.pedantic(
         measure_misschain, rounds=1, iterations=1
     )
     archive(
         "perf_misschain",
-        "Scalar vs batched miss chain (seed=%d; rows per "
+        "Per-reference loops vs miss-chain engine (seed=%d; rows per "
         "perf_common.make_misschain_rows; REPRO_BATCH_MISS=0 vs =1 "
         "interleaved, best of 2 passes per mode; overall = all rows)" % SEED,
         format_misschain(measurements, overall),

@@ -75,21 +75,21 @@ class CrashConsistencyScheme:
             return 0
         return None
 
-    def vector_store_filter(self):
-        """The miss-chain drain's store dispatch for one epoch segment.
+    def store_dispatch(self):
+        """How the miss-chain drain dispatches stores until the next boundary.
 
-        The single-core loop hands each epoch segment to the drain
-        (:mod:`repro.cache.miss_engine`) with this value, which fixes how
-        the drain treats the segment's stores. ``True``: every store is
-        scheme-silent (``on_store`` would return 0 and change no state),
-        so the drain skips the call. ``False``: the drain calls
-        :meth:`on_store` at the exact scalar call site for every store.
-        An int EID: PiCL's plain mode, whose :meth:`on_store` body the
-        drain transcribes inline (a store to a line tagged with that EID
-        takes the cheap same-epoch branch). Re-evaluated at the start of
-        every epoch segment, never cached across boundaries. The default
-        mirrors :meth:`on_store_repeat`: silent iff ``on_store`` is the
-        inherited no-op.
+        The engine (:mod:`repro.cache.miss_engine`) asks once per epoch
+        segment — from one epoch/crash boundary to the next, on every
+        core — and the answer fixes how the drain treats that segment's
+        stores. ``True``: every store is scheme-silent (``on_store``
+        would return 0 and change no state), so the drain skips the
+        call. ``False``: the drain calls :meth:`on_store` at the exact
+        scalar call site for every store. An int EID: PiCL's plain mode,
+        whose :meth:`on_store` body the drain transcribes inline (a store
+        to a line tagged with that EID takes the cheap same-epoch
+        branch). Re-evaluated after every boundary, never cached across
+        one. The default mirrors :meth:`on_store_repeat`: silent iff
+        ``on_store`` is the inherited no-op.
         """
         return type(self).on_store is CrashConsistencyScheme.on_store
 

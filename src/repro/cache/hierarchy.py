@@ -61,17 +61,17 @@ class EvictionSink:
         """
         return 0
 
-    def vector_store_filter(self):
-        """How the miss-chain drain dispatches this segment's stores.
+    def store_dispatch(self):
+        """How the miss-chain drain dispatches stores until the next boundary.
 
-        The single-core loop asks once per epoch segment and hands the
-        answer to the drain (:mod:`repro.cache.miss_engine`) for the whole
-        segment. ``True``: every store is scheme-silent (this sink's
-        ``on_store`` is a pure no-op), so the drain skips the call.
-        ``False``: the drain calls ``on_store`` for every store. An EID:
-        PiCL's plain mode, whose store body the drain runs inline (a store
-        to a line tagged with that EID is same-epoch and silent).
-        Re-evaluated per segment, never cached across boundaries.
+        The engine (:mod:`repro.cache.miss_engine`) asks once per epoch
+        segment and hands the answer to the drain for the whole segment.
+        ``True``: every store is scheme-silent (this sink's ``on_store``
+        is a pure no-op), so the drain skips the call. ``False``: the
+        drain calls ``on_store`` for every store. An EID: PiCL's plain
+        mode, whose store body the drain runs inline (a store to a line
+        tagged with that EID is same-epoch and silent). Re-evaluated
+        after every boundary, never cached across one.
         """
         return True
 
@@ -186,10 +186,14 @@ class CacheHierarchy:
     def access_repeat(self, core, line_addr, n_reads, n_writes, last_token, now):
         """Coalesce a run of repeated accesses to one line; None = replay.
 
-        The single-core interpreter calls this for the tail of a same-line
-        run after the head reference went through :meth:`access` exactly.
-        The fast path is taken only when every tail access is provably an
-        L1 hit that changes nothing observable step by step:
+        The single-core per-reference loop (the ``REPRO_BATCH_MISS=0``
+        oracle and the path for configs the miss-chain engine declines)
+        calls this for the tail of a same-line run after the head
+        reference went through :meth:`access` exactly. The engine
+        (:mod:`repro.cache.miss_engine`) runs the same test inline, on one
+        core or within one core's turn on N. The fast path is taken only
+        when every tail access is provably an L1 hit that changes nothing
+        observable step by step:
 
         * the line is resident in L1 *and already MRU*, so LRU order is
           untouched (the head access made it MRU; a concurrent core could

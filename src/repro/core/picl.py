@@ -174,16 +174,16 @@ class PiclScheme(CrashConsistencyScheme):
         self._store_seq += count
         return 0
 
-    def vector_store_filter(self):
+    def store_dispatch(self):
         """Drain store dispatch: the executing EID in plain mode.
 
         With line-granularity tracking and no hard log cap, the drain runs
-        :meth:`on_store` inline: a store to a line already tagged with the
-        returned EID takes the cheap branch (only ``_store_seq``
-        advances), any other store appends its undo entry with deferred
-        buffer batching. Any other configuration (log cap, sub-block
-        tracking) returns False, so the drain calls :meth:`on_store` for
-        every store.
+        :meth:`on_store` inline on every core: a store to a line already
+        tagged with the returned EID takes the cheap branch (only
+        ``_store_seq`` advances), any other store appends its undo entry
+        with deferred buffer batching. Any other configuration (log cap,
+        sub-block tracking) returns False, so the drain calls
+        :meth:`on_store` for every store.
         """
         if self._plain_stores:
             return self.epochs.system_eid

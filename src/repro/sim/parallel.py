@@ -62,9 +62,27 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.sim.simulator import Simulation
 
-#: Bump when the serialized result format or simulation semantics change
-#: incompatibly; old cache entries then miss instead of returning stale data.
-CACHE_SCHEMA_VERSION = 1
+#: The sources that decide what a point computes, relative to the
+#: ``repro`` package: every ``.py`` file under these packages, plus these
+#: modules. Their combined hash (:func:`model_fingerprint`) is part of
+#: every :func:`point_digest`, so a cache entry, checkpoint record or
+#: service journal entry computed by other model code never matches.
+#: Service, benchmark and report-printing code is deliberately absent.
+MODEL_SOURCES = (
+    "common",
+    "mem",
+    "cache",
+    "core",
+    "baselines",
+    "cpu",
+    "trace",
+    "sim/simulator.py",
+    "sim/config.py",
+)
+
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_model_fingerprint = None
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 
@@ -387,17 +405,53 @@ _available_cpus = available_cpus
 # ----------------------------------------------------------------------
 
 
-def point_digest(point):
+def model_fingerprint(root=None):
+    """sha256 hex digest of the model sources (:data:`MODEL_SOURCES`).
+
+    Hashes each file's path relative to ``root`` (default: the installed
+    ``repro`` package) and its bytes, in sorted path order. For the
+    installed package the value is computed once per process.
+    """
+    global _model_fingerprint
+    if root is None:
+        if _model_fingerprint is None:
+            _model_fingerprint = model_fingerprint(_PACKAGE_ROOT)
+        return _model_fingerprint
+    paths = []
+    for source in MODEL_SOURCES:
+        full = os.path.join(root, source)
+        if source.endswith(".py"):
+            paths.append(source)
+            continue
+        for dirpath, _dirnames, filenames in os.walk(full):
+            for name in filenames:
+                if name.endswith(".py"):
+                    paths.append(
+                        os.path.relpath(os.path.join(dirpath, name), root)
+                    )
+    digest = hashlib.sha256()
+    for rel in sorted(path.replace(os.sep, "/") for path in paths):
+        with open(os.path.join(root, rel), "rb") as handle:
+            data = handle.read()
+        digest.update(b"%s\0%d\0" % (rel.encode("utf-8"), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def point_digest(point, fingerprint=None):
     """Stable hex digest identifying a run point.
 
     Hashes the *entire* run description — every config field (nested
-    dataclasses included), scheme, benchmarks, instruction budget, seed,
-    and a schema version — so any change to what would be simulated
-    changes the digest. Shared by :class:`ResultCache` and
-    :class:`SweepCheckpoint`.
+    dataclasses included), scheme, benchmarks, instruction budget, seed —
+    and the model-code fingerprint (default :func:`model_fingerprint`),
+    so any change to what would be simulated, or to the code simulating
+    it, changes the digest. Shared by :class:`ResultCache`,
+    :class:`SweepCheckpoint` and the sweep service's journal.
     """
+    if fingerprint is None:
+        fingerprint = model_fingerprint()
     payload = {
-        "schema": CACHE_SCHEMA_VERSION,
+        "model": fingerprint,
         "scheme": point.scheme_name,
         "benchmarks": list(point.benchmarks),
         "n_instructions": point.n_instructions,

@@ -38,40 +38,12 @@ from repro.cpu.system import System
 from repro.mem.controller import MemoryController
 from repro.sim.results import SimulationResult
 from repro.trace.profiles import get_profile
-from repro.trace.synthetic import make_trace
+from repro.trace.synthetic import TraceCursor, make_trace
 
 #: Address-space stride between cores (programs never share lines).
 _CORE_ADDR_STRIDE = 1 << 40
 
 SCHEME_NAMES = ("ideal", "journaling", "shadow", "frm", "thynvm", "picl")
-
-
-class _TraceCursor:
-    """Positional reader over a trace's chunks.
-
-    Indexes the chunk's parallel gap/addr/write lists directly so the
-    interleaved multi-core loop never materializes a per-reference tuple.
-    """
-
-    __slots__ = ("_chunks", "gaps", "addrs", "writes", "pos", "n")
-
-    def __init__(self, trace):
-        self._chunks = trace.chunks()
-        self.gaps = self.addrs = self.writes = ()
-        self.pos = 0
-        self.n = 0
-
-    def advance(self):
-        """Load the next chunk; returns False when the trace is exhausted."""
-        chunk = next(self._chunks, None)
-        if chunk is None:
-            return False
-        self.gaps = chunk.gaps
-        self.addrs = chunk.addrs
-        self.writes = chunk.writes
-        self.pos = 0
-        self.n = len(chunk.gaps)
-        return True
 
 
 def build_scheme(name, system, config):
@@ -222,20 +194,20 @@ class Simulation:
     def _run_single_core(self, crash_at_instructions):
         """The dominant case: one core, batched over boundary-free segments.
 
+        When the batched miss-chain engine is eligible
+        (:func:`repro.cache.miss_engine.build_engine`), the whole run is
+        one call to :meth:`MissChainEngine.run`, which hands each
+        epoch/crash segment to its fused drain. Otherwise the
+        per-reference body below runs it; it is also the
+        ``REPRO_BATCH_MISS=0`` oracle the engine is tested against
+        (tests/sim/test_batched_miss.py).
+
         Each chunk is segmented at the epoch/crash boundaries up front
         (via its cumulative instruction counts, ``bisect`` against the
         next boundary), so the inner loop runs check-free: no per-reference
         epoch or crash comparison. Instruction counters are synced at
-        segment boundaries only; nothing observes them in between.
-
-        When the batched miss-chain engine is eligible
-        (:func:`repro.cache.miss_engine.build_engine`), each segment is one
-        call to its fused drain, with the scheme's
-        ``vector_store_filter()`` fixing the store dispatch for the whole
-        segment. Otherwise the per-reference body below runs it; it is
-        also the ``REPRO_BATCH_MISS=0`` oracle the drain is tested against
-        (tests/sim/test_batched_miss.py). In that body, a run of
-        consecutive references to one line (``chunk.run_ends``) is
+        segment boundaries only; nothing observes them in between. A run
+        of consecutive references to one line (``chunk.run_ends``) is
         dispatched through
         :meth:`repro.cache.hierarchy.CacheHierarchy.access_repeat` — the
         coalescing fast path that charges ``count × hit_latency`` when the
@@ -244,6 +216,13 @@ class Simulation:
         bit-identical to the per-reference loop (asserted by
         tests/sim/test_batching.py).
         """
+        # Batched miss-chain engine (repro.cache.miss_engine): None when
+        # ineligible (REPRO_BATCH_MISS=0, open-page or multi-channel NVM,
+        # DRAM cache, foreign sink), which selects the per-reference body.
+        engine = build_miss_engine(self)
+        if engine is not None:
+            engine.run(crash_at_instructions)
+            return
         system = self.system
         scheme = self.scheme
         hierarchy = self.hierarchy
@@ -268,12 +247,6 @@ class Simulation:
         total = system.total_instructions
         crash = crash_at_instructions
 
-        # Batched miss-chain engine (repro.cache.miss_engine): None when
-        # ineligible (REPRO_BATCH_MISS=0, open-page or multi-channel NVM,
-        # DRAM cache, foreign sink), which selects the per-reference body.
-        engine = build_miss_engine(self)
-        drain = None
-
         for chunk in self.traces[0].chunks():
             chunk.ensure_metadata()
             gaps = chunk.gaps
@@ -285,8 +258,6 @@ class Simulation:
             n = len(gaps)
             base = total
             index = 0
-            if engine is not None:
-                drain = engine.make_drain(gaps, addrs, writes, cum, run_ends, wcum)
             while index < n:
                 # The segment ends at (and includes) the first reference
                 # whose retirement crosses the next epoch or crash point.
@@ -296,68 +267,61 @@ class Simulation:
                 seg_end = bisect_left(cum, limit, index) + 1
                 if seg_end > n:
                     seg_end = n
-                if drain is not None:
-                    # The whole segment in one fused call; it ends at a
-                    # boundary, so the store dispatch holds throughout.
-                    index = drain(
-                        index, seg_end, seg_end, scheme.vector_store_filter()
-                    )
-                else:
-                    while index < seg_end:
-                        gap = gaps[index]
-                        cycle = core.cycle + gap
-                        addr = addrs[index]
-                        if writes[index]:
-                            token = system._next_token
-                            system._next_token = token + 1
-                            wait = access(0, addr, True, token, cycle)
-                            if track:
-                                arch_image[addr] = token
+                while index < seg_end:
+                    gap = gaps[index]
+                    cycle = core.cycle + gap
+                    addr = addrs[index]
+                    if writes[index]:
+                        token = system._next_token
+                        system._next_token = token + 1
+                        wait = access(0, addr, True, token, cycle)
+                        if track:
+                            arch_image[addr] = token
+                    else:
+                        line = l1_tags.get(addr)
+                        if line is not None:
+                            cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
+                            if cache_set[0] is not line:
+                                cache_set.remove(line)
+                                cache_set.insert(0, line)
+                            l1_hits.value += 1
+                            loads.value += 1
+                            wait = l1_latency
                         else:
-                            line = l1_tags.get(addr)
-                            if line is not None:
-                                cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
-                                if cache_set[0] is not line:
-                                    cache_set.remove(line)
-                                    cache_set.insert(0, line)
-                                l1_hits.value += 1
-                                loads.value += 1
-                                wait = l1_latency
-                            else:
-                                wait = access(0, addr, False, 0, cycle)
-                        core.cycle = cycle + wait
+                            wait = access(0, addr, False, 0, cycle)
+                    core.cycle = cycle + wait
+                    core.mem_stall_cycles += wait
+                    run_end = run_ends[index]
+                    if run_end > seg_end:
+                        run_end = seg_end
+                    index += 1
+                    if run_end > index:
+                        # Tail of a same-line run: after the access above
+                        # the line is L1-resident at MRU, so the repeats
+                        # may coalesce. Tokens are only consumed (and the
+                        # reference image only updated) once the fast path
+                        # commits to the whole tail.
+                        k = run_end - index
+                        kw = wcum[run_end - 1] - wcum[index - 1]
+                        if kw:
+                            last_token = system._next_token + kw - 1
+                            wait = access_repeat(
+                                0, addr, k - kw, kw, last_token, core.cycle
+                            )
+                            if wait is None:
+                                continue
+                            system._next_token += kw
+                            if track:
+                                arch_image[addr] = last_token
+                        else:
+                            wait = access_repeat(0, addr, k, 0, 0, core.cycle)
+                            if wait is None:
+                                continue
+                        core.cycle += (
+                            cum[run_end - 1] - cum[index - 1]
+                        ) - k + wait
                         core.mem_stall_cycles += wait
-                        run_end = run_ends[index]
-                        if run_end > seg_end:
-                            run_end = seg_end
-                        index += 1
-                        if run_end > index:
-                            # Tail of a same-line run: after the access above
-                            # the line is L1-resident at MRU, so the repeats
-                            # may coalesce. Tokens are only consumed (and the
-                            # reference image only updated) once the fast path
-                            # commits to the whole tail.
-                            k = run_end - index
-                            kw = wcum[run_end - 1] - wcum[index - 1]
-                            if kw:
-                                last_token = system._next_token + kw - 1
-                                wait = access_repeat(
-                                    0, addr, k - kw, kw, last_token, core.cycle
-                                )
-                                if wait is None:
-                                    continue
-                                system._next_token += kw
-                                if track:
-                                    arch_image[addr] = last_token
-                            else:
-                                wait = access_repeat(0, addr, k, 0, 0, core.cycle)
-                                if wait is None:
-                                    continue
-                            core.cycle += (
-                                cum[run_end - 1] - cum[index - 1]
-                            ) - k + wait
-                            core.mem_stall_cycles += wait
-                            index = run_end
+                        index = run_end
                 total = base + cum[index - 1]
                 if total >= next_epoch:
                     system.total_instructions = total
@@ -392,6 +356,14 @@ class Simulation:
         behaviour — refreshing the keys would move the fig10 bytes — and
         tests/sim/test_multicore_loop.py holds it to the per-reference loop.
 
+        When the batched miss-chain engine is eligible, the whole run is
+        one call to :meth:`MissChainEngine.run`
+        (:mod:`repro.cache.miss_engine`), which schedules turns by exactly
+        this rule with the access chain fused inline. The body below is
+        the ``REPRO_BATCH_MISS=0`` oracle the engine is tested against
+        (tests/sim/test_multicore_loop.py) and the path for every config
+        :func:`repro.cache.miss_engine.build_engine` declines.
+
         Within a turn the L1 read-hit path of ``access`` is inlined as in
         :meth:`_run_single_core`; stores and L1 misses go through
         :meth:`CacheHierarchy.access`. Before each such call the core's
@@ -399,6 +371,10 @@ class Simulation:
         gap and the system instruction count does not yet include the
         reference; a ``CrashSignal`` raised inside the call leaves them so.
         """
+        engine = build_miss_engine(self)
+        if engine is not None:
+            engine.run(crash_at_instructions)
+            return
         system = self.system
         scheme = self.scheme
         hierarchy = self.hierarchy
@@ -416,7 +392,7 @@ class Simulation:
         total = system.total_instructions
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
-        cursors = [_TraceCursor(trace) for trace in self.traces]
+        cursors = [TraceCursor(trace) for trace in self.traces]
         heap = [(0, core_id) for core_id in range(len(cores))]
         heapq.heapify(heap)
         _cycle, core_id = heappop(heap)

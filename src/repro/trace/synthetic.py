@@ -125,6 +125,96 @@ class TraceChunk:
         self.run_ends = _run_ends_array(addrs).tolist()
         return self
 
+    def run_tails(self):
+        """``(cum, run_left, write_left)`` lists for the miss-chain engine.
+
+        ``cum`` is :attr:`cum_instructions`; ``run_left[i]`` counts the
+        references after ``i`` in its same-line run and ``write_left[i]``
+        the stores among them. Unlike ``run_ends``/``write_cum`` the two
+        run lists hold mostly zeros, which Python shares, so a multi-core
+        run that keeps one chunk per core resident pays for ``cum`` only.
+        """
+        if self._meta_arrays is not None:
+            cum, run_ends, write_cum = self._meta_arrays
+        else:
+            gaps = np.asarray(self.gaps, dtype=np.int64)
+            cum = np.cumsum(gaps + 1)
+            write_cum = np.cumsum(np.asarray(self.writes, dtype=np.int64))
+            run_ends = _run_ends_array(np.asarray(self.addrs, dtype=np.int64))
+        run_left = run_ends - np.arange(1, len(run_ends) + 1)
+        write_left = write_cum[run_ends - 1] - write_cum
+        if self.cum_instructions is None:
+            self.cum_instructions = cum.tolist()
+        return self.cum_instructions, run_left.tolist(), write_left.tolist()
+
+
+class TraceCursor:
+    """Positional reader over a trace's chunks.
+
+    Exposes the current chunk's parallel gap/addr/write lists directly so
+    the interleaved multi-core loops never materialize a per-reference
+    tuple. With ``metadata=True`` the chunk is instead one tuple,
+    ``chunk = (gaps, addrs, writes, cum, run_left, write_left, n)`` with
+    the :meth:`TraceChunk.run_tails` lists, which the miss-chain engine
+    unpacks once per turn, and the cursor keeps the instructions consumed:
+    ``base`` before this chunk plus ``done`` within it (the caller stores
+    ``done = cum[pos - 1]`` when it moves ``pos``), and the references:
+    ``refs`` before this chunk plus ``pos``.
+    """
+
+    __slots__ = (
+        "_chunks",
+        "_metadata",
+        "gaps",
+        "addrs",
+        "writes",
+        "chunk",
+        "pos",
+        "n",
+        "base",
+        "done",
+        "refs",
+    )
+
+    def __init__(self, trace, metadata=False):
+        self._chunks = trace.chunks()
+        self._metadata = metadata
+        self.gaps = self.addrs = self.writes = ()
+        self.chunk = ((), (), (), (), (), (), 0)
+        self.pos = 0
+        self.n = 0
+        self.base = 0
+        self.done = 0
+        self.refs = 0
+
+    def advance(self):
+        """Load the next chunk; returns False when the trace is exhausted."""
+        chunk = next(self._chunks, None)
+        if chunk is None:
+            return False
+        n = len(chunk.gaps)
+        if self._metadata:
+            cum, run_left, write_left = chunk.run_tails()
+            self.chunk = (
+                chunk.gaps,
+                chunk.addrs,
+                chunk.writes,
+                cum,
+                run_left,
+                write_left,
+                n,
+            )
+            self.base += self.done
+            self.done = 0
+            self.refs += self.n
+        else:
+            self.gaps = chunk.gaps
+            self.addrs = chunk.addrs
+            self.writes = chunk.writes
+        self.pos = 0
+        self.n = n
+        return True
+
 
 def _zipf_cdf(n_ranks, alpha):
     ranks = np.arange(1, n_ranks + 1, dtype=np.float64)

@@ -1,7 +1,7 @@
 """Bit-identity of the batched miss-chain engine.
 
 ``REPRO_BATCH_MISS`` (default on) hands each epoch segment of the
-single-core loop to the fused drain of :mod:`repro.cache.miss_engine`:
+single-core run to the fused drain of :mod:`repro.cache.miss_engine`:
 the whole L1/L2/LLC/NVM chain transcribed into one loop with deferred
 batch bookkeeping. ``REPRO_BATCH_MISS=0`` runs the loop's per-reference
 body instead, where every store and L1 miss goes through
@@ -19,8 +19,9 @@ state the engine defers or transcribes:
   channel locals must land before any ``CrashSignal`` can observe them;
 * PiCL's store-filter regimes (plain / sub-block / capped log), which
   select the three store-dispatch modes of the drain;
-* the decline gates (flag off, banked open-page device, multi-channel,
-  multi-core) — ineligible configs must fall back to the scalar loop;
+* the gates (flag off, banked open-page device, multi-channel decline;
+  multi-core attaches) — ineligible configs must fall back to the scalar
+  loop;
 * the EID-index differential oracle: after an engine run the LLC EID
   index must verify clean against a brute-force sweep of the live LLC;
 * a hypothesis fuzz over the workload-profile space, so the drain's
@@ -227,10 +228,13 @@ class TestGate:
         monkeypatch.setenv("REPRO_BATCH_MISS", "0")
         assert build_engine(sim) is None
 
-    def test_multi_core_declines(self):
-        # Multi-core systems always take the turn-batched heap loop.
+    def test_multi_core_attached(self, monkeypatch):
+        # The engine runs N cores too (tests/sim/test_multicore_loop.py
+        # holds it to the turn loop); the flag still switches it off.
         config = dataclasses.replace(small_config(), n_cores=2)
         sim = Simulation(config, "picl", ["gcc", "mcf"], 1_000, seed=1)
+        assert build_engine(sim) is not None
+        monkeypatch.setenv("REPRO_BATCH_MISS", "0")
         assert build_engine(sim) is None
 
     def test_open_page_device_declines(self):

@@ -246,3 +246,94 @@ class TestFigureCaching:
         monkeypatch.setattr("repro.sim.parallel.Simulation", boom)
         again = fig09.run("ci", benchmarks=["gcc"], epochs=1, cache=cache)
         assert again == first
+
+
+class TestModelFingerprint:
+    """``point_digest`` keys every cache, checkpoint and journal entry on
+    a hash of the model sources, so results computed by other model code
+    never match — and only model code moves it."""
+
+    POINTS = [
+        RunPoint.single(CONFIG, scheme, bench, N, seed=7)
+        for scheme in SCHEMES
+        for bench in BENCHMARKS
+    ] + [RunPoint(CONFIG.scaled(1, n_cores=2), "picl", ("gcc", "mcf"), N, 3)]
+
+    @pytest.fixture
+    def package_copy(self, tmp_path):
+        import shutil
+
+        import repro
+
+        root = tmp_path / "repro"
+        shutil.copytree(
+            os.path.dirname(repro.__file__),
+            root,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        return root
+
+    def digests(self, fingerprint_value):
+        from repro.sim.parallel import point_digest
+
+        return [point_digest(p, fingerprint_value) for p in self.POINTS]
+
+    def test_default_is_the_installed_package(self, package_copy):
+        from repro.sim.parallel import model_fingerprint, point_digest
+
+        assert model_fingerprint(str(package_copy)) == model_fingerprint()
+        assert [point_digest(p) for p in self.POINTS] == self.digests(
+            model_fingerprint()
+        )
+
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "cache/miss_engine.py",
+            "cache/hierarchy.py",
+            "core/picl.py",
+            "baselines/journaling.py",
+            "mem/nvm.py",
+            "cpu/core.py",
+            "common/stats.py",
+            "trace/synthetic.py",
+            "sim/simulator.py",
+            "sim/config.py",
+        ],
+    )
+    def test_model_edit_changes_every_digest(self, package_copy, rel):
+        from repro.sim.parallel import model_fingerprint
+
+        before = self.digests(model_fingerprint(str(package_copy)))
+        with open(package_copy / rel, "a") as handle:
+            handle.write("\n# edited\n")
+        after = self.digests(model_fingerprint(str(package_copy)))
+        assert all(a != b for a, b in zip(before, after))
+
+    def test_new_model_file_changes_the_fingerprint(self, package_copy):
+        from repro.sim.parallel import model_fingerprint
+
+        before = model_fingerprint(str(package_copy))
+        (package_copy / "cache" / "extra.py").write_text("X = 1\n")
+        assert model_fingerprint(str(package_copy)) != before
+
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "service/scheduler.py",
+            "service/server.py",
+            "experiments/report.py",
+            "experiments/fig10.py",
+            "sim/parallel.py",
+            "sim/results.py",
+            "cli.py",
+            "fault/chaos.py",
+        ],
+    )
+    def test_non_model_edit_changes_no_digest(self, package_copy, rel):
+        from repro.sim.parallel import model_fingerprint
+
+        before = self.digests(model_fingerprint(str(package_copy)))
+        with open(package_copy / rel, "a") as handle:
+            handle.write("\n# edited\n")
+        assert self.digests(model_fingerprint(str(package_copy))) == before

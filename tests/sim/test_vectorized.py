@@ -2,8 +2,8 @@
 
 Every flag in :data:`repro.sim.parallel.ENGINE_FLAGS` selects a fast
 path that must be bit-identical to a reference implementation:
-``REPRO_BATCH_MISS`` hands each epoch/crash segment of the single-core
-loop to the fused miss-chain drain (``=0`` runs the per-reference body),
+``REPRO_BATCH_MISS`` hands each epoch/crash segment to the fused
+miss-chain drain, on one core or N (``=0`` runs the per-reference loops),
 and ``REPRO_BRUTE_SCAN=1`` replaces the dirty-line dict and the LLC EID
 index with the original full-cache sweeps. ``tests/sim/test_batched_miss.py``
 and ``tests/cache/test_eid_index.py`` each diff one flag with the other
@@ -69,8 +69,7 @@ def run_mode(fast, config, scheme, benches, n, seed, crash_at=None):
         # The flags must actually take effect, or the test compares one
         # stack against itself.
         assert sim.hierarchy._brute_scan == (not fast)
-        if config.n_cores == 1:
-            assert (build_engine(sim) is not None) == fast
+        assert (build_engine(sim) is not None) == fast
         sim.run(crash_at_instructions=crash_at)
     finally:
         for name, value in saved.items():
@@ -161,14 +160,12 @@ class TestBitIdentity:
         assert_identical(reference, fast)
 
 
-class TestGate:
-    def test_multi_core_stays_scalar(self):
-        # Multi-core systems always take the turn-batched heap loop: the
-        # miss engine declines, so only the index-vs-sweep flag differs
-        # between the stacks, and the results must still agree.
+class TestMultiCore:
+    def test_multi_core_identical(self):
+        # Multi-core runs take the engine on the fast stack and the
+        # turn-batched heap loop with brute-force sweeps on the reference
+        # stack; the results must still agree.
         config = dataclasses.replace(small_config(), n_cores=2)
-        sim = Simulation(config, "picl", ["gcc", "mcf"], 1_000, seed=1)
-        assert build_engine(sim) is None
         reference = run_mode(False, config, "picl", ["gcc", "mcf"], 20_000, seed=1)
         fast = run_mode(True, config, "picl", ["gcc", "mcf"], 20_000, seed=1)
         assert_identical(reference, fast)
